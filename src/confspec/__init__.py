@@ -15,12 +15,12 @@ from .operators import (ANTIPERIODIC, PAULI_X, PAULI_Y, PERIODIC, CliffordAction
                         OperatorMatrix, SpinStructure, SpinorField, build_dirac,
                         clifford, commutator, commutator_norm, flat_dirac,
                         multiplication_operator, spin_structure)
-from .calculus import (DEFAULT_RELATIVE_TAU, SpectralDecomposition, ZeroTolerance,
-                       eigendecompose, kernel_rank, sign_of, spectral_projector)
+from .calculus import (DEFAULT_RELATIVE_TAU, SpectralDecomposition, eigendecompose,
+                       kernel_rank, sign_of, spectral_projector)
 from .probes import (INCONCLUSIVE, NON_VANISHING, VANISHING, ProbeRow, ProbeSpec,
                      SymbolEstimate, TestReport, analytic_sign_symbol,
-                     plane_wave_conjugate, probe_symbol, standard_probe,
-                     vanishing_symbol_test)
+                     plane_wave_conjugate, probe_symbol, probe_symbols,
+                     standard_probe, vanishing_symbol_test)
 from .detect import (CONFORMAL, NOT_CONFORMAL, CometricEstimate, DetectConfig,
                      DistanceConfig, DistanceEstimate, GrowthFitError,
                      MultiplierExtract, ProbeConvergenceError, Verdict,
@@ -39,15 +39,15 @@ __all__ = [
     "NON_VANISHING", "NOT_CONFORMAL", "OperatorMatrix", "PAULI_X", "PAULI_Y",
     "PERIODIC", "ProbeConvergenceError", "ProbeRow", "ProbeSpec",
     "SpectralDecomposition", "SpinStructure", "SpinorField", "SymbolEstimate",
-    "TestReport", "VANISHING", "Verdict", "ZeroTolerance",
+    "TestReport", "VANISHING", "Verdict",
     "analytic_sign_symbol", "build_dirac", "canonical_hash", "clifford",
     "cometric_pair", "commutator", "commutator_norm", "connes_distance",
     "covector_norm", "detect_conformal", "eigendecompose", "extract_multiplier",
     "flat_dirac", "geodesic_distance", "kernel_rank", "load_metric",
     "load_operator", "make_circle_metric", "make_torus_metric",
     "metric_from_dict", "metric_to_dict", "multiplication_operator",
-    "plane_wave_conjugate", "probe_symbol", "recover_conformal_factor",
-    "recover_normalized_cometric", "save_metric", "save_operator", "sign_of",
-    "spectral_projector", "spin_structure", "standard_probe",
-    "vanishing_symbol_test",
+    "plane_wave_conjugate", "probe_symbol", "probe_symbols",
+    "recover_conformal_factor", "recover_normalized_cometric", "save_metric",
+    "save_operator", "sign_of", "spectral_projector", "spin_structure",
+    "standard_probe", "vanishing_symbol_test",
 ]

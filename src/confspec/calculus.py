@@ -1,14 +1,22 @@
 """Hermitian functional calculus: the matrix sign function and spectral
-projectors via dense eigendecomposition.
+projectors via eigendecomposition.
 
 The kernel of a discretized operator is never exactly zero, so a relative
 threshold tau stands in for "eigenvalue equals zero"; every result records
 the tau it was computed with.
+
+Operators whose nonzeros all sit in the rank x rank block of their own
+Fourier mode (flat Dirac operators, and any diagonal matrix) are
+decomposed block by block: one batched ``eigh`` over the (sites, rank,
+rank) stack replaces the dense one, and every function of the operator is
+assembled per block.  All other operators take one dense ``eigh``, which
+is the same computation with a single block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,107 +28,155 @@ DEFAULT_RELATIVE_TAU = 1e-8
 PROJECTOR_KINDS = ("plus", "minus", "zero")
 
 
-@dataclass(frozen=True)
-class ZeroTolerance:
-    """Absolute threshold below which an eigenvalue counts as kernel."""
-
-    tau: float
-
-    def __post_init__(self):
-        if not (self.tau >= 0.0 and np.isfinite(self.tau)):
-            raise ValueError(f"tolerance must be a finite nonnegative number, got {self.tau}")
-
-    @classmethod
-    def relative(cls, scale: float, factor: float = DEFAULT_RELATIVE_TAU) -> "ZeroTolerance":
-        """Threshold proportional to an operator scale (typically ``||D||``)."""
-        return cls(tau=factor * float(scale))
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and matching orthonormal eigenvectors."""
+    """Checked eigendecomposition of a Hermitian operator, kept per block.
 
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
+    Block b of the operator is ``V_b diag(lambda_b) V_b*`` with
+    ``block_eigenvalues`` of shape (blocks, m) and ``block_vectors`` of
+    shape (blocks, m, m): one rank x rank block per grid site for a
+    mode-block-diagonal operator, a single n x n block otherwise.
+    ``eigenvalues`` and ``vectors`` give the same decomposition in flat
+    form, ascending eigenvalues (stable among equal ones) with the matching
+    dense orthonormal eigenvectors.
+
+    ``residual`` is the largest entry of ``A V - V diag(eigenvalues)`` and
+    ``orthonormality_defect`` the largest entry of ``V* V - I``, both as
+    measured when the decomposition was computed.
+    """
+
+    block_eigenvalues: np.ndarray
+    block_vectors: np.ndarray
     grid: Grid
     rank: int
+    residual: float
+    orthonormality_defect: float
 
     def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
-        object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=complex))
-        self.eigenvalues.flags.writeable = False
-        self.vectors.flags.writeable = False
+        object.__setattr__(self, "block_eigenvalues",
+                           np.asarray(self.block_eigenvalues, dtype=float))
+        object.__setattr__(self, "block_vectors", np.asarray(self.block_vectors, dtype=complex))
+        self.block_eigenvalues.flags.writeable = False
+        self.block_vectors.flags.writeable = False
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        return np.argsort(self.block_eigenvalues, axis=None, kind="stable")
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        out = self.block_eigenvalues.reshape(-1)[self._order]
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        out = _embed(self.block_vectors)[:, self._order]
+        out.flags.writeable = False
+        return out
 
     @property
     def scale(self) -> float:
         """Largest absolute eigenvalue, the spectral norm of the operator."""
-        return float(np.max(np.abs(self.eigenvalues))) if self.eigenvalues.size else 0.0
+        return float(np.max(np.abs(self.block_eigenvalues), initial=0.0))
 
     def apply_function(self, values: np.ndarray) -> np.ndarray:
-        """Assemble V diag(values) V* for per-eigenvalue weights."""
-        return (self.vectors * np.asarray(values)) @ self.vectors.conj().T
+        """Assemble the symmetrized V diag(values) V* for per-eigenvalue
+        weights (aligned with ``eigenvalues``), block by block."""
+        weights = np.empty(self.block_eigenvalues.size)
+        weights[self._order] = values
+        v = self.block_vectors
+        blocks = (v * weights.reshape(self.block_eigenvalues.shape)[:, None, :]) \
+            @ np.swapaxes(v.conj(), -1, -2)
+        return _embed(0.5 * (blocks + np.swapaxes(blocks.conj(), -1, -2)))
+
+
+def _embed(blocks: np.ndarray) -> np.ndarray:
+    """Block-diagonal dense matrix from a (blocks, m, m) stack."""
+    b, m, _ = blocks.shape
+    if b == 1:
+        return blocks[0]
+    out = np.zeros((b, m, b, m), dtype=blocks.dtype)
+    index = np.arange(b)
+    out[index, :, index, :] = blocks
+    return out.reshape(b * m, b * m)
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each eigenvector so its first significant component is real
-    and positive; makes repeated decompositions reproducible."""
+    and positive; makes repeated decompositions reproducible.
+
+    Columns are eigenvectors, of one ``(n, n)`` matrix or of every block of
+    an ``(S, r, r)`` stack.  A component is significant above ``1e-8`` times
+    its column's largest magnitude; an all-zero column keeps its phase.
+    """
     out = np.array(vectors)
     mags = np.abs(out)
-    tops = mags.max(axis=0)
+    tops = mags.max(axis=-2, keepdims=True)
     tops[tops == 0.0] = 1.0
-    for j in range(out.shape[1]):
-        significant = np.nonzero(mags[:, j] > 1e-8 * tops[j])[0]
-        lead = out[significant[0], j] if significant.size else 1.0
-        mag = abs(lead)
-        if mag > 0.0:
-            out[:, j] *= lead.conjugate() / mag
+    significant = mags > 1e-8 * tops
+    lead = np.take_along_axis(out, np.argmax(significant, axis=-2)[..., None, :], axis=-2)
+    # hypot, not np.abs: the scalar magnitude the per-column convention used
+    with np.errstate(invalid="ignore"):
+        factor = lead.conj() / np.hypot(lead.real, lead.imag)
+    factor[~significant.any(axis=-2, keepdims=True)] = 1.0
+    out *= factor
     return out
+
+
+def _mode_blocks(op: OperatorMatrix) -> np.ndarray | None:
+    """The (sites, rank, rank) stack of on-site blocks, or None when some
+    nonzero of the matrix lies outside them."""
+    s, r = op.grid.sites, op.rank
+    sites = np.arange(s)
+    blocks = op.matrix.reshape(s, r, s, r)[sites, :, sites, :]
+    if np.count_nonzero(blocks) != np.count_nonzero(op.matrix):
+        return None
+    return blocks
 
 
 def eigendecompose(op: OperatorMatrix) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian operator.
 
-    Exactly diagonal matrices bypass LAPACK: their calculus is a permutation
-    of the diagonal, computed without round-off.  Phases follow the
-    first-significant-component convention, ordering is by ascending
-    eigenvalue.
+    When every nonzero of the matrix lies in the rank x rank block of its
+    own grid site, one batched ``eigh`` runs over the (sites, rank, rank)
+    stack; on a diagonal matrix this is a permutation of the diagonal,
+    computed without round-off.  Any other operator takes one dense
+    ``eigh``.  Phases follow the first-significant-component convention.
 
     Raises
     ------
     ValueError
         If the operator was not built as Hermitian, or if the residual
-        ``A V - V diag`` or the orthonormality defect exceeds tolerance.
+        ``A V - V diag`` (against 1e-9 * max(scale, 1)) or the
+        orthonormality defect (against 1e-10) of any block exceeds
+        tolerance.
     """
     if not op.hermitian:
         raise ValueError("eigendecompose needs an operator built as Hermitian")
-    a = op.matrix
-    n = a.shape[0]
-    if np.count_nonzero(a - np.diag(np.diagonal(a))) == 0:
-        diag = np.diagonal(a).real
-        order = np.argsort(diag, kind="stable")
-        vectors = np.zeros((n, n))
-        vectors[order, np.arange(n)] = 1.0
-        dec = SpectralDecomposition(eigenvalues=diag[order], vectors=vectors,
-                                    grid=op.grid, rank=op.rank)
-        return dec
-    lam, vec = np.linalg.eigh(a)
+    blocks = _mode_blocks(op)
+    if blocks is None:
+        lam, vec = np.linalg.eigh(op.matrix)
+        blocks, lam, vec = op.matrix[None], lam[None], vec[None]
+    else:
+        lam, vec = np.linalg.eigh(blocks)
     vec = _fix_phases(vec)
-    dec = SpectralDecomposition(eigenvalues=lam, vectors=vec, grid=op.grid, rank=op.rank)
-    scale = max(dec.scale, 1.0)
-    residual = np.max(np.abs(a @ vec - vec * lam))
+    scale = max(float(np.max(np.abs(lam), initial=0.0)), 1.0)
+    residual = float(np.max(np.abs(blocks @ vec - vec * lam[:, None, :])))
     if residual > 1e-9 * scale:
         raise ValueError(f"eigendecomposition residual {residual:.3e} exceeds 1e-9 * scale")
-    ortho = np.max(np.abs(vec.conj().T @ vec - np.eye(n)))
+    gram = np.swapaxes(vec.conj(), -1, -2) @ vec
+    ortho = float(np.max(np.abs(gram - np.eye(vec.shape[-1]))))
     if ortho > 1e-10:
         raise ValueError(f"eigenvectors not orthonormal: defect {ortho:.3e}")
-    return dec
+    return SpectralDecomposition(block_eigenvalues=lam, block_vectors=vec, grid=op.grid,
+                                 rank=op.rank, residual=residual,
+                                 orthonormality_defect=ortho)
 
 
 def _resolve_tau(dec: SpectralDecomposition, tol) -> float:
     if tol is None:
         return DEFAULT_RELATIVE_TAU * dec.scale
-    if isinstance(tol, ZeroTolerance):
-        return tol.tau
     tau = float(tol)
     if tau < 0.0 or not np.isfinite(tau):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tau}")
@@ -131,19 +187,15 @@ def sign_of(op: OperatorMatrix, tol=None) -> OperatorMatrix:
     """Bounded sign of a Hermitian operator: +1, -1, or 0 on each
     eigenvector, with eigenvalues within ``tol`` of zero counted as kernel.
 
-    ``tol`` may be a float, a :class:`ZeroTolerance`, or None for the
-    default ``1e-8 * ||D||``.  The result keeps grid, rank, and spin but
-    deliberately drops metric provenance: a sign is no longer a Dirac
-    operator.
+    ``tol`` may be a float, or None for the default ``1e-8 * ||D||``.  The
+    result keeps grid, rank, and spin but deliberately drops metric
+    provenance: a sign is no longer a Dirac operator.
     """
     dec = eigendecompose(op)
     tau = _resolve_tau(dec, tol)
     weights = np.where(np.abs(dec.eigenvalues) <= tau, 0.0, np.sign(dec.eigenvalues))
-    s = dec.apply_function(weights)
-    if np.count_nonzero(s - np.diag(np.diagonal(s))) != 0:
-        s = 0.5 * (s + s.conj().T)
-    return OperatorMatrix(matrix=s, grid=op.grid, rank=op.rank, hermitian=True,
-                          spin=op.spin, tolerance=tau)
+    return OperatorMatrix(matrix=dec.apply_function(weights), grid=op.grid, rank=op.rank,
+                          hermitian=True, spin=op.spin, tolerance=tau)
 
 
 def spectral_projector(op: OperatorMatrix, which: str = "zero", tol=None) -> OperatorMatrix:
@@ -160,15 +212,12 @@ def spectral_projector(op: OperatorMatrix, which: str = "zero", tol=None) -> Ope
         weights = np.where(~kernel & (dec.eigenvalues > 0.0), 1.0, 0.0)
     else:
         weights = np.where(~kernel & (dec.eigenvalues < 0.0), 1.0, 0.0)
-    p = dec.apply_function(weights)
-    if np.count_nonzero(p - np.diag(np.diagonal(p))) != 0:
-        p = 0.5 * (p + p.conj().T)
-    return OperatorMatrix(matrix=p, grid=op.grid, rank=op.rank, hermitian=True,
-                          spin=op.spin, tolerance=tau)
+    return OperatorMatrix(matrix=dec.apply_function(weights), grid=op.grid, rank=op.rank,
+                          hermitian=True, spin=op.spin, tolerance=tau)
 
 
 def kernel_rank(op: OperatorMatrix, tol=None) -> int:
     """Number of eigenvalues within the kernel threshold."""
     dec = eigendecompose(op)
     tau = _resolve_tau(dec, tol)
-    return int(np.count_nonzero(np.abs(dec.eigenvalues) <= tau))
+    return int(np.count_nonzero(np.abs(dec.block_eigenvalues) <= tau))

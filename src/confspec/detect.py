@@ -28,7 +28,7 @@ from .operators import (OperatorMatrix, _lift_scalar, _site_dft,
                         commutator_norm, multiplication_operator)
 from .calculus import sign_of
 from .probes import (INCONCLUSIVE, NON_VANISHING, VANISHING, SymbolEstimate,
-                     TestReport, _probe_responses, probe_symbol,
+                     TestReport, _probe_responses, probe_symbols,
                      standard_probe, vanishing_symbol_test)
 
 CONFORMAL = "conformal"
@@ -83,10 +83,11 @@ def recover_normalized_cometric(sign_op: OperatorMatrix, x, directions,
                                 tolerance: float = 0.05) -> CometricEstimate:
     """Recover normalized cometric pairings from sign-symbol anticommutators.
 
-    Probes the sign operator at each lattice direction, then pairs the
-    fitted fiber matrices: the scalar part of (s_i s_j + s_j s_i)/2 is the
-    normalized pairing of the two covectors, because squares of sign
-    symbols are the identity and cross terms contract against the metric.
+    Probes the sign operator at every lattice direction in one batched
+    call (see probe_symbols), then pairs the fitted fiber matrices: the
+    scalar part of (s_i s_j + s_j s_i)/2 is the normalized pairing of the
+    two covectors, because squares of sign symbols are the identity and
+    cross terms contract against the metric.
     The result is symmetrized and scaled so the diagonal is exactly 1; the
     non-scalar remainder of the anticommutator is reported as a residual.
 
@@ -98,11 +99,10 @@ def recover_normalized_cometric(sign_op: OperatorMatrix, x, directions,
                        for d in directions)
     if band is None:
         band = 1
-    estimates = []
-    for d in directions:
-        spec = standard_probe(sign_op.grid.shape, x, d, band=band,
-                              schedule=schedule, tolerance=tolerance)
-        estimates.append(probe_symbol(sign_op, spec))
+    estimates = probe_symbols(sign_op, [
+        standard_probe(sign_op.grid.shape, x, d, band=band, schedule=schedule,
+                       tolerance=tolerance)
+        for d in directions])
     bad = [e for e in estimates if not e.converged]
     if bad:
         worst = max(e.residuals[-1] for e in bad)
@@ -155,7 +155,7 @@ def recover_conformal_factor(dirac: OperatorMatrix, x, direction=None,
     spec = standard_probe(grid.shape, x, direction, band=band, schedule=schedule)
     if len(spec.schedule) < 3:
         raise ValueError("need at least 3 schedule frequencies for a quadratic fit")
-    _, responses, _ = _probe_responses(dirac, spec)
+    _, responses, _ = next(_probe_responses(dirac, [spec]))
     r = dirac.rank
     y = np.array([sum(np.linalg.norm(responses[m][s]) ** 2 for s in range(r)) / r
                   for m in spec.schedule])
@@ -410,7 +410,11 @@ def extract_multiplier(op: OperatorMatrix, test_functions=None) -> MultiplierExt
 
 @dataclass(frozen=True)
 class DetectConfig:
-    """Coverage and threshold knobs for conformal detection."""
+    """Coverage and threshold knobs for conformal detection.
+
+    ``threads`` is accepted and has no effect: the probe responses of one
+    operator are a single batched matrix product.
+    """
 
     points: int = 8
     rays: int = 8
@@ -554,8 +558,7 @@ def detect_conformal(dirac_a: OperatorMatrix, dirac_b: OperatorMatrix,
               for pt in points for d in directions]
     report = vanishing_symbol_test(difference, probes,
                                    theta_vanish=config.theta_vanish,
-                                   theta_present=config.theta_present,
-                                   threads=config.threads)
+                                   theta_present=config.theta_present)
     symbol_channel = {VANISHING: CONFORMAL, NON_VANISHING: NOT_CONFORMAL,
                       INCONCLUSIVE: INCONCLUSIVE}[report.decision]
 

@@ -149,7 +149,7 @@ class OperatorMatrix:
         if a.shape != (n, n):
             raise ValueError(f"expected a {n} x {n} matrix, got shape {a.shape}")
         if self.hermitian:
-            drift = np.max(np.abs(a - a.conj().T)) if n else 0.0
+            drift = _hermitian_drift(a)
             if drift > 1e-10:
                 raise ValueError(f"matrix declared hermitian but |A - A*| = {drift:.3e}")
         object.__setattr__(self, "matrix", a)
@@ -168,6 +168,14 @@ class OperatorMatrix:
     def norm(self) -> float:
         """Spectral (operator) norm."""
         return float(np.linalg.norm(self.matrix, 2))
+
+
+def _hermitian_drift(a: np.ndarray, band: int = 128) -> float:
+    """Largest entry of |A - A*|, from the upper triangle one band of rows
+    at a time, so that no n x n temporary is made."""
+    t = a.T
+    return max((float(np.max(np.abs(a[i:i + band, i:] - t[i:i + band, i:].conj())))
+                for i in range(0, a.shape[0], band)), default=0.0)
 
 
 def _site_dft(grid: Grid) -> np.ndarray:

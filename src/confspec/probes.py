@@ -213,55 +213,74 @@ def _polarized_bumps(op: OperatorMatrix, spec: ProbeSpec) -> tuple[np.ndarray, n
     return phi, fs
 
 
-def _probe_responses(op: OperatorMatrix, spec: ProbeSpec):
-    """Conjugated responses u_{s,m} for every polarization and frequency.
+def _spec_runs(specs, rank: int, limit: int):
+    """Consecutive runs of specs whose probe columns (frequencies times
+    polarizations) number at most ``limit``."""
+    run, width = [], 0
+    for spec in specs:
+        columns = len(spec.schedule) * rank
+        if run and width + columns > limit:
+            yield run
+            run, width = [], 0
+        run.append(spec)
+        width += columns
+    if run:
+        yield run
 
-    Returns (fs, responses, leaks): fs has shape (rank, *shape, rank),
-    responses maps each schedule frequency to an array of that same shape,
-    and leaks maps it to the relative dropped mass.
+
+def _probe_responses(op: OperatorMatrix, specs):
+    """Conjugated responses u_{s,m} for every probe, polarization and
+    frequency.
+
+    Yields one (fs, responses, leaks) per spec, in order: fs has shape
+    (rank, *shape, rank), responses maps each schedule frequency to an
+    array of that same shape, and leaks maps it to the relative dropped
+    mass.  The shifted bump columns of consecutive specs are stacked and
+    applied with one matrix product, at most ``op.size`` columns at a time,
+    so the working set stays within one operator-sized array.
     """
-    spec.validate_for(op)
-    grid = op.grid
+    specs = list(specs)
+    for spec in specs:
+        spec.validate_for(op)
     r = op.rank
-    _, fs = _polarized_bumps(op, spec)
-    responses = {}
-    leaks = {}
-    for m in spec.schedule:
-        shifts = tuple(m * d for d in spec.direction)
-        u_all = np.empty_like(fs)
-        drop_total = 0.0
-        cols = []
-        for s in range(r):
-            shifted, drop_fwd = _shift_spectrum(fs[s], shifts)
-            cols.append(shifted.reshape(-1))
-            drop_total += drop_fwd ** 2
-        applied = op.matrix @ np.stack(cols, axis=1)
-        for s in range(r):
-            cube = applied[:, s].reshape(grid.shape + (r,))
-            back, drop_back = _shift_spectrum(cube, tuple(-x for x in shifts))
-            u_all[s] = back
-            drop_total += drop_back ** 2
-        responses[m] = u_all
-        leaks[m] = float(np.sqrt(drop_total / r))
-    return fs, responses, leaks
+    cube_shape = op.grid.shape + (r,)
+    for run in _spec_runs(specs, r, op.size):
+        columns = np.empty((op.size, r * sum(len(spec.schedule) for spec in run)),
+                           dtype=complex)
+        bumps, drops = [], []
+        for spec in run:
+            _, fs = _polarized_bumps(op, spec)
+            bumps.append(fs)
+            for m in spec.schedule:
+                shifts = tuple(m * d for d in spec.direction)
+                for s in range(r):
+                    shifted, drop = _shift_spectrum(fs[s], shifts)
+                    columns[:, len(drops)] = shifted.reshape(-1)
+                    drops.append(drop)
+        applied = op.matrix @ columns
+        c = 0
+        for spec, fs in zip(run, bumps):
+            responses = {}
+            leaks = {}
+            for m in spec.schedule:
+                back_shifts = tuple(-m * d for d in spec.direction)
+                u_all = np.empty_like(fs)
+                drop_total = sum(drop ** 2 for drop in drops[c:c + r])
+                for s in range(r):
+                    back, drop_back = _shift_spectrum(applied[:, c + s].reshape(cube_shape),
+                                                      back_shifts)
+                    u_all[s] = back
+                    drop_total += drop_back ** 2
+                responses[m] = u_all
+                leaks[m] = float(np.sqrt(drop_total / r))
+                c += r
+            yield fs, responses, leaks
 
 
-def probe_symbol(op: OperatorMatrix, spec: ProbeSpec) -> SymbolEstimate:
-    """Estimate the principal symbol of an order-0 operator at one probe.
-
-    The fiber matrix is fitted by least squares at the largest schedule
-    frequency, over all spinor polarizations of the bump; the residual at
-    every schedule frequency is measured against that one fit.  The probe
-    converged when the residuals at the two largest frequencies are below
-    the spec tolerance.
-
-    For rank one the fit is the exact ratio of inner products, so probing
-    an exactly diagonal sign operator returns residual 0.0, not merely a
-    small number.
-    """
-    grid = op.grid
-    r = op.rank
-    fs, responses, leaks = _probe_responses(op, spec)
+def _fit_symbol(spec: ProbeSpec, fs, responses, leaks) -> SymbolEstimate:
+    """Least-squares fiber matrix at the top frequency, with the residual
+    of that one fit at every schedule frequency."""
+    r = fs.shape[0]
     top = spec.schedule[-1]
     if r == 1:
         f_vec = fs[0].reshape(-1)
@@ -291,6 +310,30 @@ def probe_symbol(op: OperatorMatrix, spec: ProbeSpec) -> SymbolEstimate:
                           direction=spec.direction)
 
 
+def probe_symbols(op: OperatorMatrix, specs) -> list[SymbolEstimate]:
+    """Symbol estimates for several probes of one operator, with all their
+    responses computed by one batched matrix product (see probe_symbol)."""
+    specs = list(specs)
+    return [_fit_symbol(spec, *result)
+            for spec, result in zip(specs, _probe_responses(op, specs))]
+
+
+def probe_symbol(op: OperatorMatrix, spec: ProbeSpec) -> SymbolEstimate:
+    """Estimate the principal symbol of an order-0 operator at one probe.
+
+    The fiber matrix is fitted by least squares at the largest schedule
+    frequency, over all spinor polarizations of the bump; the residual at
+    every schedule frequency is measured against that one fit.  The probe
+    converged when the residuals at the two largest frequencies are below
+    the spec tolerance.
+
+    For rank one the fit is the exact ratio of inner products, so probing
+    an exactly diagonal sign operator returns residual 0.0, not merely a
+    small number.
+    """
+    return probe_symbols(op, [spec])[0]
+
+
 def analytic_sign_symbol(metric: Metric, x, xi) -> np.ndarray:
     """Closed-form principal symbol of sign(D): i c_g(xi) / ||xi||_g.
 
@@ -303,25 +346,26 @@ def analytic_sign_symbol(metric: Metric, x, xi) -> np.ndarray:
     return 1j * clifford(metric, x, xi) / covector_norm(metric, x, xi)
 
 
-def _raw_residual(op: OperatorMatrix, spec: ProbeSpec):
+def _raw_residuals(spec: ProbeSpec, fs, responses, leaks):
     """Residuals ||u_m|| / ||f|| against the zero symbol, with leaks."""
-    fs, responses, leaks = _probe_responses(op, spec)
-    norm_f_sq = float(sum(np.linalg.norm(fs[s]) ** 2 for s in range(op.rank)))
+    r = fs.shape[0]
+    norm_f_sq = float(sum(np.linalg.norm(fs[s]) ** 2 for s in range(r)))
     rows = []
     for m in spec.schedule:
-        total = sum(float(np.linalg.norm(responses[m][s]) ** 2) for s in range(op.rank))
+        total = sum(float(np.linalg.norm(responses[m][s]) ** 2) for s in range(r))
         rows.append((m, float(np.sqrt(total / norm_f_sq)), leaks[m]))
     return rows
 
 
 def vanishing_symbol_test(op: OperatorMatrix, probes, theta_vanish: float = THETA_VANISH,
-                          theta_present: float = THETA_PRESENT, threads: int = 1) -> TestReport:
+                          theta_present: float = THETA_PRESENT) -> TestReport:
     """Decide whether an order-0 operator has vanishing principal symbol.
 
     ``vanishing`` if the residual at every probe's top frequency is below
     ``theta_vanish``; ``non-vanishing`` if any exceeds ``theta_present``;
     ``inconclusive`` otherwise.  Probes must cover at least 8 base points
-    and at least 4 directions on a torus (2 on a circle).
+    and at least 4 directions on a torus (2 on a circle).  The responses of
+    all probes come from one batched matrix product (see probe_symbols).
     """
     probes = list(probes)
     if not theta_vanish < theta_present:
@@ -341,12 +385,8 @@ def vanishing_symbol_test(op: OperatorMatrix, probes, theta_vanish: float = THET
             point_order.append(p.base_point)
     index_of = {pt: i for i, pt in enumerate(point_order)}
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda p: _raw_residual(op, p), probes))
-    else:
-        results = [_raw_residual(op, p) for p in probes]
+    results = [_raw_residuals(spec, *result)
+               for spec, result in zip(probes, _probe_responses(op, probes))]
 
     rows = []
     tops = []

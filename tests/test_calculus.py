@@ -151,3 +151,169 @@ def test_explicit_tolerance_controls_kernel():
     assert kernel_rank(op, tol=1e-3) == 1
     wide = sign_of(op, tol=1e-3)
     assert wide.matrix[1, 1] == 0.0
+
+
+# ------------------------------------------------------------ phase convention
+
+def _fix_phases_loop(vectors):
+    """The column-by-column phase convention the vectorized form replaces."""
+    out = np.array(vectors)
+    mags = np.abs(out)
+    tops = mags.max(axis=0)
+    tops[tops == 0.0] = 1.0
+    for j in range(out.shape[1]):
+        significant = np.nonzero(mags[:, j] > 1e-8 * tops[j])[0]
+        lead = out[significant[0], j] if significant.size else 1.0
+        mag = abs(lead)
+        if mag > 0.0:
+            out[:, j] *= lead.conjugate() / mag
+    return out
+
+
+def _block_diagonal(stack):
+    s, r, _ = stack.shape
+    dense = np.zeros((s, r, s, r), dtype=complex)
+    dense[np.arange(s), :, np.arange(s), :] = stack
+    return dense.reshape(s * r, s * r)
+
+
+def _awkward_columns(a):
+    # an all-zero column (with a signed zero), and a column whose leading
+    # entries sit below 1e-8 of its largest magnitude
+    a[..., :, 0] = 0.0
+    a[..., 0, 0] = complex(-0.0, -0.0)
+    if a.shape[-1] > 2:
+        a[..., :2, 1] = 1e-12 * (1.0 - 1.0j)
+    return a
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+def test_fix_phases_matches_column_loop(rng, n):
+    from confspec.calculus import _fix_phases
+    for scale in (1e-6, 1.0, 1e6):
+        a = scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        for candidate in (a, _awkward_columns(a.copy())):
+            expected = _fix_phases_loop(candidate)
+            assert _fix_phases(candidate).tobytes() == expected.tobytes()
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    _, vectors = np.linalg.eigh(h + h.conj().T)
+    assert _fix_phases(vectors).tobytes() == _fix_phases_loop(vectors).tobytes()
+
+
+@pytest.mark.parametrize("sites,r", [(1, 1), (64, 1), (5, 2), (64, 2), (7, 3)])
+def test_fix_phases_on_block_stacks_matches_dense_convention(rng, sites, r):
+    # each block gets exactly what the column loop does to the embedded
+    # block-diagonal matrix
+    from confspec.calculus import _fix_phases
+    stack = rng.normal(size=(sites, r, r)) + 1j * rng.normal(size=(sites, r, r))
+    for candidate in (stack, _awkward_columns(stack.copy())):
+        dense = _fix_phases_loop(_block_diagonal(candidate))
+        index = np.arange(sites)
+        expected = dense.reshape(sites, r, sites, r)[index, :, index, :]
+        assert _fix_phases(candidate).tobytes() == expected.tobytes()
+
+
+# ------------------------------------------------------- eigen diagnostics
+
+def _recomputed_diagnostics(op, decomp):
+    v = decomp.vectors
+    residual = np.max(np.abs(op.matrix @ v - v * decomp.eigenvalues))
+    ortho = np.max(np.abs(v.conj().T @ v - np.eye(op.size)))
+    return residual, ortho
+
+
+def test_eigen_diagnostics_match_recomputation(rng, dirac_curved_s1, dirac_t2_c2):
+    for op in (_random_hermitian(rng, 48), dirac_curved_s1, dirac_t2_c2):
+        decomp = eigendecompose(op)
+        residual, ortho = _recomputed_diagnostics(op, decomp)
+        # dense products of the returned vectors round differently from the
+        # per-block products only in the last bits of the maximum
+        assert decomp.residual == pytest.approx(residual, rel=1e-2, abs=0.0)
+        assert decomp.orthonormality_defect == pytest.approx(ortho, rel=1e-2, abs=0.0)
+        assert decomp.residual <= 1e-9 * max(decomp.scale, 1.0)
+        assert decomp.orthonormality_defect <= 1e-10
+
+
+def test_eigen_diagnostics_of_diagonal_are_exact():
+    decomp = eigendecompose(_diag_op([3.0, 1.0, 2.0, 4.0]))
+    assert decomp.residual == 0.0
+    assert decomp.orthonormality_defect == 0.0
+
+
+# ------------------------------------------------------ mode-block bypass
+
+def _dense_reference(op, weights_of):
+    lam, vec = np.linalg.eigh(op.matrix)
+    tau = 1e-8 * np.max(np.abs(lam))
+    return (vec * weights_of(lam, tau)) @ vec.conj().T, int(np.sum(np.abs(lam) <= tau))
+
+
+_REFERENCE_WEIGHTS = {
+    "sign": lambda lam, tau: np.where(np.abs(lam) <= tau, 0.0, np.sign(lam)),
+    "zero": lambda lam, tau: (np.abs(lam) <= tau).astype(float),
+    "plus": lambda lam, tau: ((np.abs(lam) > tau) & (lam > 0)).astype(float),
+    "minus": lambda lam, tau: ((np.abs(lam) > tau) & (lam < 0)).astype(float),
+}
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("modulus", [1.0, 2.0])
+@pytest.mark.parametrize("parities", [("periodic", "periodic"),
+                                      ("antiperiodic", "antiperiodic"),
+                                      ("antiperiodic", "periodic")])
+def test_block_path_matches_dense_reference(n, modulus, parities):
+    from confspec import SpinStructure, make_torus_metric
+    dirac = build_dirac(make_torus_metric(modulus, np.zeros((n, n)), 0),
+                        SpinStructure(parities))
+    for kind, weights_of in _REFERENCE_WEIGHTS.items():
+        expected, kernel = _dense_reference(dirac, weights_of)
+        got = (sign_of(dirac) if kind == "sign"
+               else spectral_projector(dirac, which=kind)).matrix
+        assert np.max(np.abs(got - expected)) <= 1e-13
+    assert kernel_rank(dirac) == kernel == (2 if parities == ("periodic", "periodic") else 0)
+
+
+def test_block_path_keeps_the_phase_convention(dirac_t2_c2):
+    decomp = eigendecompose(dirac_t2_c2)
+    assert np.all(np.diff(decomp.eigenvalues) >= 0.0)
+    mags = np.abs(decomp.vectors)
+    lead_rows = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
+    lead = decomp.vectors[lead_rows, np.arange(dirac_t2_c2.size)]
+    assert np.all(lead.real > 0.0)
+    assert np.max(np.abs(lead.imag)) <= 1e-15
+
+
+def test_block_sign_is_exactly_zero_on_the_zero_mode(dirac_t2_c1):
+    signed = sign_of(dirac_t2_c1)
+    site = int(np.flatnonzero(np.all(dirac_t2_c1.grid.modes() == 0, axis=1))[0])
+    block = signed.matrix[2 * site:2 * site + 2, 2 * site:2 * site + 2]
+    assert np.all(block == 0.0)
+    assert np.all(signed.matrix[2 * site:2 * site + 2] == 0.0)
+
+
+def test_flat_torus_sign_takes_no_dense_eigh(monkeypatch, dirac_t2_c2):
+    shapes = []
+    original = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    sign_of(dirac_t2_c2)
+    n = dirac_t2_c2.size
+    assert shapes == [(dirac_t2_c2.grid.sites, 2, 2)]
+    assert (n, n) not in shapes
+
+
+def test_dense_operator_takes_dense_eigh(monkeypatch, dirac_curved_s1):
+    shapes = []
+    original = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    sign_of(dirac_curved_s1)
+    assert shapes == [(dirac_curved_s1.size, dirac_curved_s1.size)]

@@ -247,6 +247,18 @@ def test_operator_matrix_validates_hermitian_flag(flat_circle):
                        hermitian=True)
 
 
+@pytest.mark.parametrize("n", [1, 5, 128, 300])
+def test_hermitian_drift_matches_full_difference(rng, n):
+    from confspec.operators import _hermitian_drift
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    for candidate in (a, a + a.conj().T, np.triu(a)):
+        expected = np.max(np.abs(candidate - candidate.conj().T))
+        assert _hermitian_drift(candidate) == expected
+    nearly = a + a.conj().T
+    nearly[n - 1, 0] += 1e-9j
+    assert _hermitian_drift(nearly) == np.max(np.abs(nearly - nearly.conj().T)) > 1e-10
+
+
 def test_spin_structure_validation():
     with pytest.raises(ValueError):
         SpinStructure(("sideways",))

@@ -15,6 +15,7 @@ from confspec import (
     multiplication_operator,
     plane_wave_conjugate,
     probe_symbol,
+    probe_symbols,
     sign_of,
     spectral_projector,
     standard_probe,
@@ -176,14 +177,71 @@ def test_coverage_is_enforced(flat_circle):
         vanishing_symbol_test(op, _circle_probe_set()[:4])
 
 
-def test_threaded_run_matches_serial(sign_curved_s1, sign_flat_s1):
-    difference = OperatorMatrix(
-        matrix=sign_curved_s1.matrix - sign_flat_s1.matrix,
-        grid=sign_flat_s1.grid, rank=1, hermitian=True)
-    serial = vanishing_symbol_test(difference, _circle_probe_set())
-    threaded = vanishing_symbol_test(difference, _circle_probe_set(), threads=4)
-    assert serial.decision == threaded.decision == "vanishing"
-    assert [r.residual for r in serial.rows] == [r.residual for r in threaded.rows]
+def _reference_shift(cube, shifts):
+    """Index shift of mode axes with the modes that leave the window
+    zeroed, and the norm of what was zeroed."""
+    out = np.roll(cube, shifts, axis=tuple(range(len(shifts))))
+    for axis, m in enumerate(shifts):
+        index = np.arange(cube.shape[axis])
+        wrapped = index < m if m >= 0 else index >= cube.shape[axis] + m
+        out[(slice(None),) * axis + (wrapped,)] = 0.0
+    lost = np.linalg.norm(cube) ** 2 - np.linalg.norm(out) ** 2
+    return out, np.sqrt(max(lost, 0.0))
+
+
+@pytest.mark.parametrize("shape,rank", [((64,), 1), ((8, 8), 2)], ids=["circle", "torus"])
+def test_batched_responses_match_per_column_products(rng, shape, rank):
+    # more probe columns than rows, so the engine needs several products;
+    # each response must equal op.matrix @ x for its own shifted bump x
+    from confspec import Grid
+    from confspec.probes import _polarized_bumps, _probe_responses
+    grid = Grid(shape, (TWO_PI,) * len(shape))
+    n = grid.sites * rank
+    op = OperatorMatrix(matrix=rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                        grid=grid, rank=rank)
+    rays = ((1,), (-1,)) if len(shape) == 1 else ((1, 0), (0, 1), (1, 1), (1, -1))
+    points = [tuple(TWO_PI * ((k * (j + 1)) % 8) / 8.0 for j in range(len(shape)))
+              for k in range(12)]
+    specs = [standard_probe(shape, p, d) for p in points for d in rays]
+    assert sum(len(s.schedule) * rank for s in specs) > n
+    results = list(_probe_responses(op, specs))
+    assert len(results) == len(specs)
+    for spec, (fs, responses, leaks) in zip(specs, results):
+        _, expected_fs = _polarized_bumps(op, spec)
+        assert np.array_equal(fs, expected_fs)
+        for m in spec.schedule:
+            shifts = tuple(m * d for d in spec.direction)
+            dropped = 0.0
+            for s in range(rank):
+                moved, lost_in = _reference_shift(fs[s], shifts)
+                applied = (op.matrix @ moved.reshape(-1)).reshape(shape + (rank,))
+                back, lost_out = _reference_shift(applied, tuple(-x for x in shifts))
+                scale = np.max(np.abs(applied))
+                assert np.max(np.abs(responses[m][s] - back)) <= 1e-13 * scale
+                dropped += lost_in ** 2 + lost_out ** 2
+            assert leaks[m] == pytest.approx(np.sqrt(dropped / rank), rel=1e-9, abs=1e-12)
+
+
+def test_probe_runs_respect_the_column_limit():
+    from confspec.probes import _spec_runs
+    specs = [standard_probe((64,), (0.0,), (1,), schedule=schedule)
+             for schedule in ((4, 8, 12, 16), (8, 16), (16,), (2, 4, 8), (4,))]
+    runs = list(_spec_runs(specs, 2, 8))
+    assert [spec for run in runs for spec in run] == specs
+    assert [sum(2 * len(s.schedule) for s in run) for run in runs] == [8, 6, 8]
+    assert [len(run) for run in _spec_runs(specs, 2, 4)] == [1, 1, 1, 1, 1]
+
+
+def test_probe_symbols_matches_single_probes(sign_t2_c2):
+    specs = [standard_probe((32, 32), (0.0, 0.0), d, band=1)
+             for d in ((1, 0), (0, 1), (1, 1), (1, -1))]
+    batched = probe_symbols(sign_t2_c2, specs)
+    for spec, estimate in zip(specs, batched):
+        single = probe_symbol(sign_t2_c2, spec)
+        assert np.max(np.abs(estimate.sigma - single.sigma)) <= 1e-14
+        assert estimate.residuals == pytest.approx(single.residuals, abs=1e-14)
+        assert estimate.truncation_leaks == single.truncation_leaks
+        assert estimate.direction == spec.direction
 
 
 # ----------------------------------------------------------- symbol algebra
