@@ -10,7 +10,8 @@ Fourier mode (flat Dirac operators, and any diagonal matrix) are
 decomposed block by block: one batched ``eigh`` over the (sites, rank,
 rank) stack replaces the dense one, and every function of the operator is
 assembled per block.  All other operators take one dense ``eigh``, which
-is the same computation with a single block.
+is the same computation with a single block.  Conformal detection keeps
+the sign as that block stack and never assembles the n x n matrix.
 """
 
 from __future__ import annotations
@@ -85,10 +86,19 @@ class SpectralDecomposition:
         weights (aligned with ``eigenvalues``), block by block."""
         weights = np.empty(self.block_eigenvalues.size)
         weights[self._order] = values
+        return _embed(self._function_blocks(weights.reshape(self.block_eigenvalues.shape)))
+
+    def _function_blocks(self, weights: np.ndarray) -> np.ndarray:
+        """The (blocks, m, m) stack of symmetrized V_b diag(w_b) V_b* for
+        weights shaped like ``block_eigenvalues``."""
         v = self.block_vectors
-        blocks = (v * weights.reshape(self.block_eigenvalues.shape)[:, None, :]) \
-            @ np.swapaxes(v.conj(), -1, -2)
-        return _embed(0.5 * (blocks + np.swapaxes(blocks.conj(), -1, -2)))
+        # the result is allocated before the temporaries: detection keeps
+        # it, and a kept array above freed ones holds the heap up
+        blocks = np.empty_like(v)
+        np.matmul(v * weights[:, None, :], np.swapaxes(v.conj(), -1, -2), out=blocks)
+        blocks += np.swapaxes(blocks.conj(), -1, -2)
+        blocks *= 0.5
+        return blocks
 
 
 def _embed(blocks: np.ndarray) -> np.ndarray:
@@ -181,6 +191,15 @@ def _resolve_tau(dec: SpectralDecomposition, tol) -> float:
     if tau < 0.0 or not np.isfinite(tau):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tau}")
     return tau
+
+
+def _sign_blocks(op: OperatorMatrix, tol=None) -> tuple[np.ndarray, float]:
+    """sign(op) as the (blocks, m, m) stack of its decomposition, with the
+    kernel threshold it was computed with (see sign_of)."""
+    dec = eigendecompose(op)
+    tau = _resolve_tau(dec, tol)
+    lam = dec.block_eigenvalues
+    return dec._function_blocks(np.where(np.abs(lam) <= tau, 0.0, np.sign(lam))), tau
 
 
 def sign_of(op: OperatorMatrix, tol=None) -> OperatorMatrix:

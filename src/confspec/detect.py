@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Grid, _as_tuple
-from .operators import (OperatorMatrix, _lift_scalar, _site_dft,
+from .operators import (BlockDiagonalOperator, OperatorMatrix, _lift_scalar, _site_dft,
                         commutator_norm, multiplication_operator)
-from .calculus import sign_of
+from .calculus import _embed, _sign_blocks, sign_of
 from .probes import (INCONCLUSIVE, NON_VANISHING, VANISHING, SymbolEstimate,
                      TestReport, _probe_responses, probe_symbols,
                      standard_probe, vanishing_symbol_test)
@@ -78,8 +78,48 @@ class CometricEstimate:
             raise ValueError("pairing matrix must be symmetric")
 
 
-def recover_normalized_cometric(sign_op: OperatorMatrix, x, directions,
-                                band: int | None = None, schedule=None,
+def _cometric_probes(grid: Grid, points, directions, band, schedule, tolerance):
+    """Probe specs for the cometric channel, point-major: every direction
+    at the first point, then every direction at the next."""
+    return [standard_probe(grid.shape, x, d, band=1 if band is None else band,
+                           schedule=schedule, tolerance=tolerance)
+            for x in points for d in directions]
+
+
+def _normalized_pairings(x, directions, estimates, rank: int) -> CometricEstimate:
+    """Pair the fitted sign symbols of one base point (see
+    recover_normalized_cometric)."""
+    bad = [e for e in estimates if not e.converged]
+    if bad:
+        worst = max(e.residuals[-1] for e in bad)
+        raise ProbeConvergenceError(
+            f"{len(bad)} of {len(directions)} direction probes did not converge "
+            f"(worst top residual {worst:.3e})", estimates)
+    d = len(directions)
+    raw = np.empty((d, d))
+    off_scalar = 0.0
+    for i in range(d):
+        for j in range(i, d):
+            anti = 0.5 * (estimates[i].sigma @ estimates[j].sigma
+                          + estimates[j].sigma @ estimates[i].sigma)
+            scalar = np.trace(anti) / rank
+            raw[i, j] = raw[j, i] = scalar.real
+            off_scalar = max(off_scalar, float(
+                np.linalg.norm(anti - scalar * np.eye(rank), 2)))
+    if np.mean(np.diag(raw)) < 0:
+        raw = -raw
+    diag = np.diag(raw)
+    if np.any(diag <= 0.5):
+        raise ProbeConvergenceError(
+            "sign-symbol squares are far from the identity; pairings are "
+            f"unreliable (diagonal {diag})", estimates)
+    matrix = raw / np.sqrt(np.outer(diag, diag))
+    return CometricEstimate(point=x, directions=directions, matrix=matrix,
+                            estimates=tuple(estimates), off_scalar_residual=off_scalar)
+
+
+def recover_normalized_cometric(sign_op: OperatorMatrix | BlockDiagonalOperator, x,
+                                directions, band: int | None = None, schedule=None,
                                 tolerance: float = 0.05) -> CometricEstimate:
     """Recover normalized cometric pairings from sign-symbol anticommutators.
 
@@ -97,40 +137,9 @@ def recover_normalized_cometric(sign_op: OperatorMatrix, x, directions,
     x = _as_tuple(x)
     directions = tuple(tuple(int(c) for c in (d if not np.isscalar(d) else (d,)))
                        for d in directions)
-    if band is None:
-        band = 1
-    estimates = probe_symbols(sign_op, [
-        standard_probe(sign_op.grid.shape, x, d, band=band, schedule=schedule,
-                       tolerance=tolerance)
-        for d in directions])
-    bad = [e for e in estimates if not e.converged]
-    if bad:
-        worst = max(e.residuals[-1] for e in bad)
-        raise ProbeConvergenceError(
-            f"{len(bad)} of {len(directions)} direction probes did not converge "
-            f"(worst top residual {worst:.3e})", estimates)
-    r = sign_op.rank
-    d = len(directions)
-    raw = np.empty((d, d))
-    off_scalar = 0.0
-    for i in range(d):
-        for j in range(i, d):
-            anti = 0.5 * (estimates[i].sigma @ estimates[j].sigma
-                          + estimates[j].sigma @ estimates[i].sigma)
-            scalar = np.trace(anti) / r
-            raw[i, j] = raw[j, i] = scalar.real
-            off_scalar = max(off_scalar, float(
-                np.linalg.norm(anti - scalar * np.eye(r), 2)))
-    if np.mean(np.diag(raw)) < 0:
-        raw = -raw
-    diag = np.diag(raw)
-    if np.any(diag <= 0.5):
-        raise ProbeConvergenceError(
-            "sign-symbol squares are far from the identity; pairings are "
-            f"unreliable (diagonal {diag})", estimates)
-    matrix = raw / np.sqrt(np.outer(diag, diag))
-    return CometricEstimate(point=x, directions=directions, matrix=matrix,
-                            estimates=tuple(estimates), off_scalar_residual=off_scalar)
+    estimates = probe_symbols(sign_op, _cometric_probes(sign_op.grid, [x], directions,
+                                                        band, schedule, tolerance))
+    return _normalized_pairings(x, directions, estimates, sign_op.rank)
 
 
 def recover_conformal_factor(dirac: OperatorMatrix, x, direction=None,
@@ -519,6 +528,12 @@ def detect_conformal(dirac_a: OperatorMatrix, dirac_b: OperatorMatrix,
     from both sign operators at every base point and compares them.  The
     verdict is issued only when the channels agree; anything else is
     inconclusive, including non-converged cometric probes.
+
+    Both signs stay the block stacks of their decompositions.  Two flat
+    operators give K as the difference of their mode blocks, so no n x n
+    matrix is assembled; with an intertwiner, or when only one operator is
+    flat, both signs are embedded into one dense block.  Each channel
+    applies each operator with one batched probe call over all base points.
     """
     started = time.perf_counter()
     if config is None:
@@ -527,11 +542,10 @@ def detect_conformal(dirac_a: OperatorMatrix, dirac_b: OperatorMatrix,
         raise ValueError("operators live on different bundles")
     if not (dirac_a.hermitian and dirac_b.hermitian):
         raise ValueError("conformal detection expects Hermitian operators")
-    grid = dirac_a.grid
-    sign_a = sign_of(dirac_a, tol=config.tau)
-    sign_b = sign_of(dirac_b, tol=config.tau)
+    grid, rank = dirac_a.grid, dirac_a.rank
     if intertwiner is not None:
-        _check_unitary(intertwiner, sign_a.size)
+        _check_unitary(intertwiner, dirac_a.size)
+        sign_a = sign_of(dirac_a, tol=config.tau).matrix
         # Conjugating by U adds two dense products on top of sign(D_A).
         # In working precision their rounding sits above the floor left by
         # the eigensolver, which would make the U-run residuals look worse
@@ -539,17 +553,24 @@ def detect_conformal(dirac_a: OperatorMatrix, dirac_b: OperatorMatrix,
         # the operators.  Extended precision keeps the conjugation error
         # below that floor; on large systems the slow long-double path is
         # not worth it and the plain product is used instead.
-        if sign_a.size <= 512:
+        if sign_a.shape[0] <= 512:
             um = intertwiner.matrix.astype(np.clongdouble)
-            sm = sign_a.matrix.astype(np.clongdouble)
+            sm = sign_a.astype(np.clongdouble)
             conjugated = (um @ sm @ um.conj().T).astype(np.complex128)
         else:
-            conjugated = intertwiner.matrix @ sign_a.matrix @ intertwiner.matrix.conj().T
+            conjugated = intertwiner.matrix @ sign_a @ intertwiner.matrix.conj().T
         conjugated = 0.5 * (conjugated + conjugated.conj().T)
+        blocks_a, blocks_b = conjugated[None], sign_of(dirac_b, tol=config.tau).blocks
     else:
-        conjugated = sign_a.matrix
-    difference = OperatorMatrix(matrix=sign_b.matrix - conjugated, grid=grid,
-                                rank=dirac_a.rank, hermitian=True)
+        blocks_a, _ = _sign_blocks(dirac_a, tol=config.tau)
+        blocks_b, _ = _sign_blocks(dirac_b, tol=config.tau)
+        if blocks_a.shape != blocks_b.shape:
+            # a flat and a curved operator: compare them as dense matrices
+            blocks_a, blocks_b = _embed(blocks_a)[None], _embed(blocks_b)[None]
+    # Flat pairs stay mode-block stacks: no n x n sign, difference or copy.
+    sign_a = BlockDiagonalOperator(blocks=blocks_a, grid=grid, rank=rank)
+    sign_b = BlockDiagonalOperator(blocks=blocks_b, grid=grid, rank=rank)
+    difference = BlockDiagonalOperator(blocks=blocks_b - blocks_a, grid=grid, rank=rank)
 
     points = _base_points(grid, config.points)
     directions = _detection_directions(grid.dim, config.rays)
@@ -563,18 +584,18 @@ def detect_conformal(dirac_a: OperatorMatrix, dirac_b: OperatorMatrix,
                       INCONCLUSIVE: INCONCLUSIVE}[report.decision]
 
     pair_directions = (((1,),) if grid.dim == 1 else _COMETRIC_DIRECTIONS_2D)
-    conj_op = (OperatorMatrix(matrix=conjugated, grid=grid, rank=dirac_a.rank,
-                              hermitian=True) if intertwiner is not None else sign_a)
+    d = len(pair_directions)
+    cometric_probes = _cometric_probes(grid, points, pair_directions, config.cometric_band,
+                                       config.schedule, config.probe_tolerance)
+    estimates_a = probe_symbols(sign_a, cometric_probes)
+    estimates_b = probe_symbols(sign_b, cometric_probes)
     deviations = None
     try:
         devs = []
-        for pt in points:
-            est_a = recover_normalized_cometric(
-                conj_op, pt, pair_directions, band=config.cometric_band,
-                schedule=config.schedule, tolerance=config.probe_tolerance)
-            est_b = recover_normalized_cometric(
-                sign_b, pt, pair_directions, band=config.cometric_band,
-                schedule=config.schedule, tolerance=config.probe_tolerance)
+        for i, pt in enumerate(points):
+            est_a, est_b = (_normalized_pairings(pt, pair_directions,
+                                                 estimates[i * d:(i + 1) * d], rank)
+                            for estimates in (estimates_a, estimates_b))
             devs.append(np.abs(est_a.matrix - est_b.matrix))
         deviations = np.stack(devs)
         max_deviation = float(np.max(deviations))

@@ -159,6 +159,11 @@ class OperatorMatrix:
     def size(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def blocks(self) -> np.ndarray:
+        """The matrix as a one-block stack, shape (1, n, n)."""
+        return self.matrix[None]
+
     def apply(self, field: SpinorField) -> SpinorField:
         if field.grid != self.grid or field.rank != self.rank:
             raise ValueError("field does not match the operator's bundle")
@@ -170,12 +175,45 @@ class OperatorMatrix:
         return float(np.linalg.norm(self.matrix, 2))
 
 
+@dataclass(frozen=True, eq=False)
+class BlockDiagonalOperator:
+    """Hermitian block-diagonal operator kept as its (blocks, m, m) stack.
+
+    Block b acts on coefficients b*m to (b+1)*m - 1.  With one block per
+    grid site (m = rank) these are the on-site mode blocks of a flat
+    operator; a single block is a dense operator.  The stack is checked
+    for Hermitian drift against the same 1e-10 bound as OperatorMatrix and
+    is never copied or embedded into an n x n matrix.
+    """
+
+    blocks: np.ndarray
+    grid: Grid
+    rank: int = 1
+
+    def __post_init__(self):
+        blocks = np.asarray(self.blocks, dtype=complex)
+        if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2] \
+                or blocks.shape[0] * blocks.shape[1] != self.grid.sites * self.rank:
+            raise ValueError(f"expected a (blocks, m, m) stack covering "
+                             f"{self.grid.sites * self.rank} rows, got shape {blocks.shape}")
+        drift = _hermitian_drift(blocks)
+        if drift > 1e-10:
+            raise ValueError(f"blocks declared hermitian but |A - A*| = {drift:.3e}")
+        object.__setattr__(self, "blocks", blocks)
+        self.blocks.flags.writeable = False
+
+    @property
+    def size(self) -> int:
+        return self.blocks.shape[0] * self.blocks.shape[1]
+
+
 def _hermitian_drift(a: np.ndarray, band: int = 128) -> float:
-    """Largest entry of |A - A*|, from the upper triangle one band of rows
-    at a time, so that no n x n temporary is made."""
-    t = a.T
-    return max((float(np.max(np.abs(a[i:i + band, i:] - t[i:i + band, i:].conj())))
-                for i in range(0, a.shape[0], band)), default=0.0)
+    """Largest entry of |A - A*| over a matrix or a stack of square blocks,
+    from the upper triangle one band of rows at a time, so that a dense
+    n x n matrix needs no n x n temporary."""
+    t = np.swapaxes(a, -1, -2)
+    return max((float(np.max(np.abs(a[..., i:i + band, i:] - t[..., i:i + band, i:].conj())))
+                for i in range(0, a.shape[-1], band)), default=0.0)
 
 
 def _site_dft(grid: Grid) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Metric, _as_tuple, covector_norm
-from .operators import OperatorMatrix, clifford
+from .operators import BlockDiagonalOperator, OperatorMatrix, clifford
 
 DEFAULT_PROBE_TOLERANCE = 0.05
 THETA_VANISH = 0.05
@@ -158,7 +158,8 @@ def _bump_coefficients(shape, periods, point, band: int) -> np.ndarray:
 
 def _shift_spectrum(cube: np.ndarray, shifts) -> tuple[np.ndarray, float]:
     """Shift coefficient axes by integer amounts, dropping modes that leave
-    the window; returns the shifted array and the dropped mass."""
+    the window; returns the shifted array and the norm of the dropped
+    entries."""
     out = np.zeros_like(cube)
     src = [slice(None)] * cube.ndim
     dst = [slice(None)] * cube.ndim
@@ -170,8 +171,9 @@ def _shift_spectrum(cube: np.ndarray, shifts) -> tuple[np.ndarray, float]:
         dst[axis] = slice(lo, hi)
         src[axis] = slice(lo - m, hi - m)
     out[tuple(dst)] = cube[tuple(src)]
-    dropped = np.linalg.norm(cube) ** 2 - np.linalg.norm(out) ** 2
-    return out, float(np.sqrt(max(dropped, 0.0)))
+    dropped = cube.copy()
+    dropped[tuple(src)] = 0.0
+    return out, float(np.linalg.norm(dropped))
 
 
 def plane_wave_conjugate(op: OperatorMatrix, k) -> OperatorMatrix:
@@ -228,7 +230,7 @@ def _spec_runs(specs, rank: int, limit: int):
         yield run
 
 
-def _probe_responses(op: OperatorMatrix, specs):
+def _probe_responses(op: OperatorMatrix | BlockDiagonalOperator, specs):
     """Conjugated responses u_{s,m} for every probe, polarization and
     frequency.
 
@@ -237,12 +239,16 @@ def _probe_responses(op: OperatorMatrix, specs):
     array of that same shape, and leaks maps it to the relative dropped
     mass.  The shifted bump columns of consecutive specs are stacked and
     applied with one matrix product, at most ``op.size`` columns at a time,
-    so the working set stays within one operator-sized array.
+    so the working set stays within one operator-sized array.  The product
+    runs over ``op.blocks``: one block for a dense OperatorMatrix, one per
+    mode block for a BlockDiagonalOperator.
     """
     specs = list(specs)
     for spec in specs:
         spec.validate_for(op)
     r = op.rank
+    blocks = op.blocks
+    b, m_rows, _ = blocks.shape
     cube_shape = op.grid.shape + (r,)
     for run in _spec_runs(specs, r, op.size):
         columns = np.empty((op.size, r * sum(len(spec.schedule) for spec in run)),
@@ -257,7 +263,7 @@ def _probe_responses(op: OperatorMatrix, specs):
                     shifted, drop = _shift_spectrum(fs[s], shifts)
                     columns[:, len(drops)] = shifted.reshape(-1)
                     drops.append(drop)
-        applied = op.matrix @ columns
+        applied = (blocks @ columns.reshape(b, m_rows, -1)).reshape(op.size, -1)
         c = 0
         for spec, fs in zip(run, bumps):
             responses = {}
@@ -310,7 +316,8 @@ def _fit_symbol(spec: ProbeSpec, fs, responses, leaks) -> SymbolEstimate:
                           direction=spec.direction)
 
 
-def probe_symbols(op: OperatorMatrix, specs) -> list[SymbolEstimate]:
+def probe_symbols(op: OperatorMatrix | BlockDiagonalOperator,
+                  specs) -> list[SymbolEstimate]:
     """Symbol estimates for several probes of one operator, with all their
     responses computed by one batched matrix product (see probe_symbol)."""
     specs = list(specs)
@@ -357,7 +364,8 @@ def _raw_residuals(spec: ProbeSpec, fs, responses, leaks):
     return rows
 
 
-def vanishing_symbol_test(op: OperatorMatrix, probes, theta_vanish: float = THETA_VANISH,
+def vanishing_symbol_test(op: OperatorMatrix | BlockDiagonalOperator, probes,
+                          theta_vanish: float = THETA_VANISH,
                           theta_present: float = THETA_PRESENT) -> TestReport:
     """Decide whether an order-0 operator has vanishing principal symbol.
 

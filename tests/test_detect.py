@@ -219,3 +219,167 @@ def test_dft_is_not_a_multiplier(flat_circle):
                                                 grid=flat_circle.grid, rank=1))
     assert extract.residual >= 0.5
     assert extract.residual == pytest.approx(2.0, rel=1e-6)
+
+
+# ------------------------------------------- mode-block signs in detection
+
+def _dense_channels(dirac_a, dirac_b, config, intertwiner=None):
+    """Both channels of detect_conformal on dense n x n signs: the
+    difference OperatorMatrix(sign_of(b) - U sign_of(a) U*) through the
+    same probes, and the cometric channel one point at a time."""
+    from confspec import (INCONCLUSIVE, NON_VANISHING, VANISHING,
+                          ProbeConvergenceError, sign_of, standard_probe,
+                          vanishing_symbol_test)
+    from confspec.detect import _base_points, _detection_directions
+    grid, rank = dirac_a.grid, dirac_a.rank
+    sign_b = sign_of(dirac_b, tol=config.tau)
+    a = sign_of(dirac_a, tol=config.tau).matrix
+    if intertwiner is not None:
+        um = intertwiner.matrix.astype(np.clongdouble)
+        conjugated = (um @ a.astype(np.clongdouble) @ um.conj().T).astype(np.complex128)
+        a = 0.5 * (conjugated + conjugated.conj().T)
+    sign_a = OperatorMatrix(matrix=a, grid=grid, rank=rank, hermitian=True)
+    difference = OperatorMatrix(matrix=sign_b.matrix - a, grid=grid, rank=rank,
+                                hermitian=True)
+    points = _base_points(grid, config.points)
+    probes = [standard_probe(grid.shape, pt, d, band=config.band, schedule=config.schedule,
+                             tolerance=config.probe_tolerance)
+              for pt in points for d in _detection_directions(grid.dim, config.rays)]
+    report = vanishing_symbol_test(difference, probes, config.theta_vanish,
+                                   config.theta_present)
+    directions = ((1,),) if grid.dim == 1 else ((1, 0), (0, 1), (1, 1), (1, -1))
+    try:
+        deviations = np.stack([
+            np.abs(recover_normalized_cometric(
+                sign_a, pt, directions, band=config.cometric_band,
+                schedule=config.schedule, tolerance=config.probe_tolerance).matrix
+                   - recover_normalized_cometric(
+                sign_b, pt, directions, band=config.cometric_band,
+                schedule=config.schedule, tolerance=config.probe_tolerance).matrix)
+            for pt in points])
+        worst = float(np.max(deviations))
+        cometric = (CONFORMAL if worst < config.cometric_agree else
+                    NOT_CONFORMAL if worst > config.cometric_distinct else INCONCLUSIVE)
+    except ProbeConvergenceError:
+        deviations, cometric = None, INCONCLUSIVE
+    symbol = {VANISHING: CONFORMAL, NON_VANISHING: NOT_CONFORMAL,
+              INCONCLUSIVE: INCONCLUSIVE}[report.decision]
+    return report, deviations, symbol, cometric
+
+
+def _rows(report):
+    return np.array([(r.residual, r.leak) for r in report.rows])
+
+
+def _assert_same_verdict(verdict, report, deviations, symbol, cometric):
+    assert verdict.report.decision == report.decision
+    assert verdict.symbol_channel == symbol
+    assert verdict.cometric_channel == cometric
+    assert verdict.decision == (symbol if symbol == cometric else "inconclusive")
+    assert [(r.point, r.direction, r.frequency) for r in verdict.report.rows] == \
+        [(r.point, r.direction, r.frequency) for r in report.rows]
+    assert (verdict.cometric_deviations is None) == (deviations is None)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("modulus", [1.0, 2.0])
+@pytest.mark.parametrize("parities", [("periodic", "periodic"),
+                                      ("antiperiodic", "antiperiodic"),
+                                      ("antiperiodic", "periodic")])
+def test_flat_torus_blocks_match_the_dense_reference(n, modulus, parities):
+    from confspec import make_torus_metric
+    spin = SpinStructure(parities)
+    dirac_a = build_dirac(make_torus_metric(1.0, np.zeros((n, n)), 0), spin)
+    dirac_b = build_dirac(make_torus_metric(modulus, np.zeros((n, n)), 0), spin)
+    # the looser probe tolerance lets the cometric probes converge on
+    # these small grids, so both channels are compared
+    for config in (DetectConfig(), DetectConfig(probe_tolerance=0.5)):
+        verdict = detect_conformal(dirac_a, dirac_b, config=config)
+        report, deviations, symbol, cometric = _dense_channels(dirac_a, dirac_b, config)
+        _assert_same_verdict(verdict, report, deviations, symbol, cometric)
+        expected = _rows(report)
+        scale = max(float(np.max(expected)), 1.0)
+        assert np.max(np.abs(_rows(verdict.report) - expected)) <= 1e-13 * scale
+        if deviations is not None:
+            assert np.max(np.abs(verdict.cometric_deviations - deviations)) <= 1e-13
+        if modulus == 1.0:
+            assert verdict.report.max_top_residual == 0.0
+    assert verdict.cometric_deviations is not None
+    assert verdict.decision == (CONFORMAL if modulus == 1.0 else NOT_CONFORMAL)
+
+
+def test_flat_circle_blocks_match_the_dense_reference():
+    periodic = build_dirac(make_circle_metric(TWO_PI, np.zeros(64), 0),
+                           SpinStructure(("periodic",)))
+    antiperiodic = build_dirac(make_circle_metric(3.0 * np.pi, np.zeros(64), 0),
+                               SpinStructure(("antiperiodic",)))
+    config = DetectConfig()
+    verdict = detect_conformal(periodic, antiperiodic, config=config)
+    report, deviations, symbol, cometric = _dense_channels(periodic, antiperiodic, config)
+    _assert_same_verdict(verdict, report, deviations, symbol, cometric)
+    assert verdict.decision == CONFORMAL
+    expected = _rows(report)
+    assert np.max(np.abs(_rows(verdict.report) - expected)) <= 1e-13 * max(
+        float(np.max(expected)), 1.0)
+    assert np.max(np.abs(verdict.cometric_deviations - deviations)) <= 1e-13
+
+
+def _curved_torus_dirac(n, modulus, amplitude):
+    from confspec import make_torus_metric
+    x, y = np.meshgrid(circle_theta(n), circle_theta(n), indexing="ij")
+    v = amplitude * (np.sin(x) + 0.5 * np.cos(x + y))
+    return build_dirac(make_torus_metric(modulus, v, 1),
+                       SpinStructure(("periodic", "periodic")))
+
+
+def test_curved_torus_pair_is_bit_identical_to_the_dense_reference():
+    dirac_a = _curved_torus_dirac(8, 1.0, 0.2)
+    dirac_b = _curved_torus_dirac(8, 1.0, -0.1)
+    config = DetectConfig(probe_tolerance=0.5)
+    verdict = detect_conformal(dirac_a, dirac_b, config=config)
+    report, deviations, symbol, cometric = _dense_channels(dirac_a, dirac_b, config)
+    _assert_same_verdict(verdict, report, deviations, symbol, cometric)
+    assert verdict.decision == CONFORMAL
+    assert np.array_equal(_rows(verdict.report), _rows(report))
+    assert verdict.report.top_residuals == report.top_residuals
+    assert np.max(np.abs(verdict.cometric_deviations - deviations)) <= 1e-13
+
+
+def test_phase_intertwiner_is_bit_identical_to_the_dense_reference(
+        dirac_flat_s1, dirac_curved_s1, flat_circle):
+    theta = circle_theta(64)
+    unitary = multiplication_operator(np.exp(1j * np.sin(theta)), flat_circle.grid)
+    config = DetectConfig()
+    verdict = detect_conformal(dirac_flat_s1, dirac_curved_s1, unitary, config)
+    report, deviations, symbol, cometric = _dense_channels(
+        dirac_flat_s1, dirac_curved_s1, config, unitary)
+    _assert_same_verdict(verdict, report, deviations, symbol, cometric)
+    assert verdict.decision == CONFORMAL
+    assert np.array_equal(_rows(verdict.report), _rows(report))
+    assert np.max(np.abs(verdict.cometric_deviations - deviations)) <= 1e-13
+
+
+def test_flat_torus_detection_builds_no_dense_sign(monkeypatch, dirac_t2_c1, dirac_t2_c2):
+    # no sign_of, no embedding of a block stack, and no OperatorMatrix at
+    # all (so neither the difference nor a copy of it) on a flat pair
+    import confspec.calculus
+    import confspec.detect
+    made = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("detect_conformal built an n x n sign")
+
+    original = OperatorMatrix.__post_init__
+
+    def record(self):
+        made.append(np.shape(self.matrix))
+        original(self)
+
+    monkeypatch.setattr(confspec.calculus, "sign_of", refuse)
+    monkeypatch.setattr(confspec.detect, "sign_of", refuse, raising=False)
+    monkeypatch.setattr(confspec.calculus, "_embed", refuse)
+    monkeypatch.setattr(confspec.detect, "_embed", refuse)
+    monkeypatch.setattr(OperatorMatrix, "__post_init__", record)
+    verdict = detect_conformal(dirac_t2_c1, dirac_t2_c2)
+    assert verdict.decision == NOT_CONFORMAL
+    assert made == []

@@ -259,6 +259,50 @@ def test_hermitian_drift_matches_full_difference(rng, n):
     assert _hermitian_drift(nearly) == np.max(np.abs(nearly - nearly.conj().T)) > 1e-10
 
 
+@pytest.mark.parametrize("blocks,m", [(1, 128), (64, 2), (300, 1)])
+def test_hermitian_drift_of_block_stacks_is_the_largest_block_drift(rng, blocks, m):
+    from confspec.operators import _hermitian_drift
+    a = rng.normal(size=(blocks, m, m)) + 1j * rng.normal(size=(blocks, m, m))
+    for candidate in (a, a + np.swapaxes(a.conj(), 1, 2)):
+        assert _hermitian_drift(candidate) == max(_hermitian_drift(b) for b in candidate)
+
+
+@pytest.mark.parametrize("blocks,m", [(1, 128), (64, 2)], ids=["dense", "mode-blocks"])
+def test_block_operator_applies_the_hermitian_bound(rng, blocks, m):
+    # the same 1e-10 bound as OperatorMatrix, on the stack and on its embedding
+    from confspec import Grid
+    from confspec.operators import BlockDiagonalOperator
+    grid = Grid((8, 8), (2.0 * np.pi, 2.0 * np.pi))
+    a = rng.normal(size=(blocks, m, m)) + 1j * rng.normal(size=(blocks, m, m))
+    hermitian = a + np.swapaxes(a.conj(), 1, 2)
+    for bump, accepted in ((5e-11, True), (2e-10, False)):
+        stack = hermitian.copy()
+        stack[-1, m - 1, 0] += bump * 1j
+        embedded = np.zeros((blocks, m, blocks, m), dtype=complex)
+        embedded[np.arange(blocks), :, np.arange(blocks), :] = stack
+        embedded = embedded.reshape(blocks * m, blocks * m)
+        for build in (lambda: BlockDiagonalOperator(blocks=stack, grid=grid, rank=2),
+                      lambda: OperatorMatrix(matrix=embedded, grid=grid, rank=2,
+                                             hermitian=True)):
+            if accepted:
+                build()
+            else:
+                with pytest.raises(ValueError, match="hermitian"):
+                    build()
+    op = BlockDiagonalOperator(blocks=hermitian, grid=grid, rank=2)
+    assert op.size == 128
+    assert not op.blocks.flags.writeable
+
+
+def test_block_operator_rejects_stacks_of_the_wrong_size():
+    from confspec import Grid
+    from confspec.operators import BlockDiagonalOperator
+    grid = Grid((8, 8), (2.0 * np.pi, 2.0 * np.pi))
+    for shape in ((64, 2, 2, 1), (32, 2, 2), (64, 2, 1)):
+        with pytest.raises(ValueError, match="stack"):
+            BlockDiagonalOperator(blocks=np.zeros(shape, dtype=complex), grid=grid, rank=2)
+
+
 def test_spin_structure_validation():
     with pytest.raises(ValueError):
         SpinStructure(("sideways",))

@@ -317,3 +317,75 @@ def test_shift_reports_dropped_mass():
     lost = dropped ** 2
     assert kept + lost == pytest.approx(np.linalg.norm(coeffs) ** 2, rel=1e-12)
     assert dropped > 0.0
+
+
+def test_shift_reports_a_small_dropped_mass_beside_a_large_kept_one():
+    # the dropped entries are summed directly: |cube|^2 - |kept|^2 would
+    # lose 5e-9 against the kept 1.0 entirely
+    from confspec.probes import _shift_spectrum
+    coeffs = np.zeros(16, dtype=complex)
+    coeffs[8] = 1.0
+    coeffs[14:16] = [3e-9, 4e-9j]
+    shifted, dropped = _shift_spectrum(coeffs, (3,))
+    assert dropped == pytest.approx(5e-9, rel=1e-14)
+    assert shifted[11] == 1.0
+    cube = np.zeros((8, 8, 2), dtype=complex)
+    cube[4, 4] = [1.0, 1.0j]
+    cube[0, 7, 1] = 2e-9
+    cube[7, 1, 0] = 1e-9
+    # the first shift drops the [0, 7] entry, the second the [7, 1] one
+    assert _shift_spectrum(cube, (-1, 1))[1] == pytest.approx(2e-9, rel=1e-14)
+    assert _shift_spectrum(cube, (1, 0))[1] == pytest.approx(1e-9, rel=1e-14)
+    assert _shift_spectrum(cube, (8, 0))[1] == np.linalg.norm(cube)
+
+
+def test_shift_that_drops_nothing_reports_exactly_zero(rng):
+    # a block-diagonal operator keeps every shifted bump inside the window,
+    # so every leak is exactly 0.0, whether the probe runs alone or batched
+    from confspec import Grid
+    from confspec.operators import BlockDiagonalOperator
+    grid = Grid((32, 32), (TWO_PI, TWO_PI))
+    a = rng.normal(size=(grid.sites, 2, 2)) + 1j * rng.normal(size=(grid.sites, 2, 2))
+    blocks = a + np.swapaxes(a.conj(), 1, 2)
+    ops = (BlockDiagonalOperator(blocks=blocks, grid=grid, rank=2),
+           OperatorMatrix(matrix=_embedded(blocks), grid=grid, rank=2, hermitian=True))
+    points = [(TWO_PI * i / 8.0, TWO_PI * ((3 * i) % 8) / 8.0) for i in range(8)]
+    specs = [standard_probe((32, 32), p, d)
+             for p in points for d in ((1, 0), (0, 1), (1, 1), (1, -1))]
+    for op in ops:
+        batched = probe_symbols(op, specs)
+        assert all(leak == 0.0 for e in batched for leak in e.truncation_leaks)
+        for spec in specs[:4]:
+            assert all(leak == 0.0 for leak in probe_symbol(op, spec).truncation_leaks)
+        report = vanishing_symbol_test(op, specs)
+        assert all(row.leak == 0.0 for row in report.rows)
+
+
+def _embedded(blocks):
+    s, r, _ = blocks.shape
+    dense = np.zeros((s, r, s, r), dtype=complex)
+    dense[np.arange(s), :, np.arange(s), :] = blocks
+    return dense.reshape(s * r, s * r)
+
+
+@pytest.mark.parametrize("shape,rank", [((64,), 1), ((8, 8), 2), ((12, 12), 2)])
+def test_one_block_product_is_the_dense_product(rng, shape, rank):
+    # a dense operator is the one-block case of the batched product, with
+    # the same bits as the plain matrix product
+    from confspec import Grid
+    from confspec.operators import BlockDiagonalOperator
+    from confspec.probes import _probe_responses
+    grid = Grid(shape, (TWO_PI,) * len(shape))
+    n = grid.sites * rank
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    x = rng.normal(size=(n, 3 * n // 2)) + 1j * rng.normal(size=(n, 3 * n // 2))
+    assert np.array_equal((a[None] @ x.reshape(1, n, -1)).reshape(n, -1), a @ x)
+    h = a + a.conj().T
+    dense = OperatorMatrix(matrix=h, grid=grid, rank=rank, hermitian=True)
+    stacked = BlockDiagonalOperator(blocks=h[None], grid=grid, rank=rank)
+    rays = ((1,), (-1,)) if len(shape) == 1 else ((1, 0), (0, 1), (1, 1), (1, -1))
+    specs = [standard_probe(shape, (0.0,) * len(shape), d) for d in rays]
+    for (_, got, got_leaks), (_, expected, leaks) in zip(_probe_responses(stacked, specs),
+                                                         _probe_responses(dense, specs)):
+        assert all(np.array_equal(got[m], expected[m]) for m in expected)
+        assert got_leaks == leaks
