@@ -8,13 +8,12 @@ recover conformal factors and normalized cometrics, evaluate spectral
 distances, and run everything from JSON scenario configs.
 """
 
-from .geometry import (ConformalFactor, Covector, FlatBackground, Grid, Metric,
-                       cometric_pair, covector_norm, geodesic_distance,
-                       make_circle_metric, make_torus_metric)
-from .operators import (ANTIPERIODIC, PAULI_X, PAULI_Y, PERIODIC, CliffordAction,
-                        OperatorMatrix, SpinStructure, SpinorField, build_dirac,
-                        clifford, commutator, commutator_norm, flat_dirac,
-                        multiplication_operator, spin_structure)
+from .geometry import (ConformalFactor, FlatBackground, Grid, Metric, cometric_pair,
+                       covector_norm, geodesic_distance, make_circle_metric,
+                       make_torus_metric)
+from .operators import (ANTIPERIODIC, PAULI_X, PAULI_Y, PERIODIC, OperatorMatrix,
+                        SpinStructure, build_dirac, clifford, commutator,
+                        commutator_norm, flat_dirac, multiplication_operator)
 from .calculus import (DEFAULT_RELATIVE_TAU, SpectralDecomposition, eigendecompose,
                        kernel_rank, sign_of, spectral_projector)
 from .probes import (INCONCLUSIVE, NON_VANISHING, VANISHING, ProbeRow, ProbeSpec,
@@ -32,13 +31,13 @@ from .io import (ConfigError, canonical_hash, load_metric, load_operator,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ANTIPERIODIC", "CONFORMAL", "CliffordAction", "CometricEstimate",
-    "ConfigError", "ConformalFactor", "Covector", "DEFAULT_RELATIVE_TAU",
+    "ANTIPERIODIC", "CONFORMAL", "CometricEstimate", "ConfigError",
+    "ConformalFactor", "DEFAULT_RELATIVE_TAU",
     "DetectConfig", "DistanceConfig", "DistanceEstimate", "FlatBackground",
     "Grid", "GrowthFitError", "INCONCLUSIVE", "Metric", "MultiplierExtract",
     "NON_VANISHING", "NOT_CONFORMAL", "OperatorMatrix", "PAULI_X", "PAULI_Y",
     "PERIODIC", "ProbeConvergenceError", "ProbeRow", "ProbeSpec",
-    "SpectralDecomposition", "SpinStructure", "SpinorField", "SymbolEstimate",
+    "SpectralDecomposition", "SpinStructure", "SymbolEstimate",
     "TestReport", "VANISHING", "Verdict",
     "analytic_sign_symbol", "build_dirac", "canonical_hash", "clifford",
     "cometric_pair", "commutator", "commutator_norm", "connes_distance",
@@ -48,6 +47,6 @@ __all__ = [
     "metric_from_dict", "metric_to_dict", "multiplication_operator",
     "plane_wave_conjugate", "probe_symbol", "probe_symbols",
     "recover_conformal_factor", "recover_normalized_cometric", "save_metric",
-    "save_operator", "sign_of", "spectral_projector", "spin_structure",
+    "save_operator", "sign_of", "spectral_projector",
     "standard_probe", "vanishing_symbol_test",
 ]

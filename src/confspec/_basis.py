@@ -11,8 +11,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 TAU = 2.0 * np.pi
@@ -23,15 +21,6 @@ def ascending_modes(n: int) -> np.ndarray:
     if n <= 0 or n % 2:
         raise ValueError(f"grid size must be a positive even integer, got {n}")
     return np.arange(-(n // 2), n // 2)
-
-
-@lru_cache(maxsize=32)
-def unitary_dft(n: int) -> np.ndarray:
-    """Unitary coefficient-to-sample matrix for an n-point periodic grid."""
-    theta = TAU * np.arange(n) / n
-    F = np.exp(1j * np.outer(theta, ascending_modes(n))) / np.sqrt(n)
-    F.flags.writeable = False
-    return F
 
 
 def samples_to_coefficients(values: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -3,8 +3,8 @@
 One process runs one scenario.  Exit code 0 means the scenario ran and
 decided; 2 means it ran but the outcome is inconclusive (a verdict the
 thresholds cannot call, a non-converged probe, an unstable optimizer, or
-a failed demo check); 1 means the configuration or the computation
-errored.  Scripts can therefore distinguish "not conformal" from
+a failed demo check); 1 means the command line, the configuration or the
+computation errored.  Scripts can therefore distinguish "not conformal" from
 "cannot tell" without parsing output.
 """
 
@@ -22,7 +22,7 @@ import numpy as np
 from .geometry import Grid
 from .operators import OperatorMatrix, SpinStructure, build_dirac, multiplication_operator
 from .calculus import kernel_rank, sign_of, spectral_projector
-from .probes import probe_symbol, standard_probe
+from .probes import ProbeRow, probe_symbol, standard_probe
 from .detect import (CONFORMAL, INCONCLUSIVE, NOT_CONFORMAL, DetectConfig,
                      DistanceConfig, _base_points, connes_distance,
                      detect_conformal, recover_conformal_factor)
@@ -41,12 +41,11 @@ EXIT_INCONCLUSIVE = 2
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One validated scenario: kind, raw payload, effective seed/threads."""
+    """One validated scenario: kind, raw payload, effective seed."""
 
     kind: str
     data: dict
     seed: int = 0
-    threads: int = 1
     base_dir: str = "."
 
 
@@ -66,8 +65,7 @@ class ResultRecord:
                 "wall_clock_seconds": self.wall_clock_seconds}
 
 
-def parse_scenario(data: dict, base_dir: str = ".", seed: int | None = None,
-                   threads: int | None = None) -> ScenarioConfig:
+def parse_scenario(data: dict, base_dir: str = ".", seed: int | None = None) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("config", "top level must be a JSON object")
     kind = data.get("scenario")
@@ -78,12 +76,7 @@ def parse_scenario(data: dict, base_dir: str = ".", seed: int | None = None,
         seed = data.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("seed", f"must be an integer, got {seed!r}")
-    if threads is None:
-        threads = data.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError("threads", f"must be a positive integer, got {threads!r}")
-    return ScenarioConfig(kind=kind, data=data, seed=seed, threads=threads,
-                          base_dir=base_dir)
+    return ScenarioConfig(kind=kind, data=data, seed=seed, base_dir=base_dir)
 
 
 def _metric_entry(config: ScenarioConfig, key: str):
@@ -131,14 +124,6 @@ def _point_entry(data: dict, key: str, dim: int, required: bool = True):
     return pt
 
 
-@dataclass(frozen=True)
-class _EvidenceRow:
-    point_index: int
-    direction: tuple
-    frequency: int
-    residual: float
-
-
 def _run_build(config: ScenarioConfig, out_dir: str):
     metric, dirac = _dirac_for(config)
     metric_path = os.path.join(out_dir, "metric.json")
@@ -182,8 +167,9 @@ def _run_probe(config: ScenarioConfig, out_dir: str):
     except ValueError as exc:
         raise ConfigError("probe", str(exc)) from exc
     estimate = probe_symbol(op, spec)
-    rows = [_EvidenceRow(0, estimate.direction, m, r)
-            for m, r in zip(estimate.frequencies, estimate.residuals)]
+    rows = [ProbeRow(0, estimate.base_point, estimate.direction, m, r, leak)
+            for m, r, leak in zip(estimate.frequencies, estimate.residuals,
+                                  estimate.truncation_leaks)]
     code = EXIT_OK if estimate.converged else EXIT_INCONCLUSIVE
     return estimate_to_dict(estimate), rows, code
 
@@ -198,7 +184,6 @@ def _detect_config(config: ScenarioConfig) -> DetectConfig:
             kwargs[name] = data[name]
     if "schedule" in data:
         kwargs["schedule"] = tuple(data["schedule"])
-    kwargs["threads"] = config.threads
     try:
         return DetectConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -285,8 +270,7 @@ def _demo_circle_conformal(config: ScenarioConfig):
                                "band_limit": 1,
                                "v_samples": (0.3 * np.sin(theta)).tolist()})
     spin = SpinStructure(("antiperiodic",))
-    verdict = detect_conformal(build_dirac(flat, spin), build_dirac(curved, spin),
-                               config=DetectConfig(threads=config.threads))
+    verdict = detect_conformal(build_dirac(flat, spin), build_dirac(curved, spin))
     checks = [
         _check("decision", verdict.decision == CONFORMAL, verdict.decision,
                CONFORMAL),
@@ -304,8 +288,7 @@ def _demo_torus_moduli(config: ScenarioConfig):
     square = metric_from_dict({**base, "background": {"kind": "torus", "modulus": 1.0}})
     oblong = metric_from_dict({**base, "background": {"kind": "torus", "modulus": 2.0}})
     spin = SpinStructure(("periodic", "periodic"))
-    verdict = detect_conformal(build_dirac(square, spin), build_dirac(oblong, spin),
-                               config=DetectConfig(threads=config.threads))
+    verdict = detect_conformal(build_dirac(square, spin), build_dirac(oblong, spin))
     target = abs(2 / np.sqrt(5) - 1 / np.sqrt(2))
     deviation = verdict.pair_deviation((1, 0), (1, 1))
     checks = [
@@ -436,28 +419,20 @@ def main(argv=None) -> int:
                         help="directory for result.json and evidence.csv")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config's random seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="probe/optimizer parallelism "
-                             "(default: CONFSPEC_THREADS or 1)")
     parser.add_argument("--format", dest="out_format",
                         choices=("json", "csv", "both"), default="both",
                         help="which result files to write")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits with 2 on a usage error, the code that means
+        # inconclusive here; --help exits with 0
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
 
     if (args.config is None) == (args.demo is None):
         print("error: exactly one of --config or --demo is required",
               file=sys.stderr)
         return EXIT_ERROR
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("CONFSPEC_THREADS")
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError:
-                print(f"error: CONFSPEC_THREADS must be an integer, got {env!r}",
-                      file=sys.stderr)
-                return EXIT_ERROR
 
     try:
         if args.demo is not None:
@@ -475,8 +450,7 @@ def main(argv=None) -> int:
                       f"column {exc.colno}): {exc.msg}", file=sys.stderr)
                 return EXIT_ERROR
             base_dir = os.path.dirname(os.path.abspath(args.config))
-        config = parse_scenario(data, base_dir=base_dir, seed=args.seed,
-                                threads=threads)
+        config = parse_scenario(data, base_dir=base_dir, seed=args.seed)
         record = run(config, out_dir=args.out, out_format=args.out_format)
     except ConfigError as exc:
         print(f"config error - {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Grid, _as_tuple
-from .operators import (BlockDiagonalOperator, OperatorMatrix, _lift_scalar, _site_dft,
+from .operators import (BlockDiagonalOperator, OperatorMatrix, _difference_index,
                         commutator_norm, multiplication_operator)
 from .calculus import _embed, _sign_blocks, sign_of
 from .probes import (INCONCLUSIVE, NON_VANISHING, VANISHING, SymbolEstimate,
@@ -363,13 +363,7 @@ class MultiplierExtract:
 
     def reassemble(self) -> OperatorMatrix:
         """Multiplication operator built back from the extracted blocks."""
-        s, r = self.grid.sites, self.rank
-        sample_block = np.zeros((s * r, s * r), dtype=complex)
-        for j in range(s):
-            sample_block[j * r:(j + 1) * r, j * r:(j + 1) * r] = self.psi[j]
-        dft = _lift_scalar(_site_dft(self.grid), r)
-        return OperatorMatrix(matrix=dft.conj().T @ sample_block @ dft,
-                              grid=self.grid, rank=r)
+        return multiplication_operator(self.psi, self.grid, rank=self.rank)
 
 
 def _default_test_characters(grid: Grid):
@@ -401,12 +395,14 @@ def extract_multiplier(op: OperatorMatrix, test_functions=None) -> MultiplierExt
     describe the operator poorly, which is the caller's signal that it is
     not a multiplier.
     """
-    grid, r = op.grid, op.rank
-    dft = _lift_scalar(_site_dft(grid), r)
-    sample_matrix = dft @ op.matrix @ dft.conj().T
-    psi = np.empty((grid.sites, r, r), dtype=complex)
-    for j in range(grid.sites):
-        psi[j] = sample_matrix[j * r:(j + 1) * r, j * r:(j + 1) * r]
+    grid, r, s = op.grid, op.rank, op.grid.sites
+    # The sample-basis diagonal of F A F* is one inverse DFT over mode
+    # differences of the sums of A along each difference k - l.
+    pairs = op.matrix.reshape(s, r, s, r).transpose(0, 2, 1, 3).reshape(s * s, r, r)
+    sums = np.zeros((s, r, r), dtype=complex)
+    np.add.at(sums, _difference_index(grid).reshape(-1), pairs)
+    psi = np.fft.ifftn(sums.reshape(grid.shape + (r, r)),
+                       axes=tuple(range(grid.dim))).reshape(s, r, r)
     if test_functions is None:
         test_functions = _default_test_characters(grid)
     residual = 0.0
@@ -419,11 +415,7 @@ def extract_multiplier(op: OperatorMatrix, test_functions=None) -> MultiplierExt
 
 @dataclass(frozen=True)
 class DetectConfig:
-    """Coverage and threshold knobs for conformal detection.
-
-    ``threads`` is accepted and has no effect: the probe responses of one
-    operator are a single batched matrix product.
-    """
+    """Coverage and threshold knobs for conformal detection."""
 
     points: int = 8
     rays: int = 8
@@ -435,7 +427,6 @@ class DetectConfig:
     probe_tolerance: float = 0.05
     cometric_agree: float = 0.05
     cometric_distinct: float = 0.10
-    threads: int = 1
     tau: float | None = None
 
     def __post_init__(self):
@@ -545,20 +536,8 @@ def detect_conformal(dirac_a: OperatorMatrix, dirac_b: OperatorMatrix,
     grid, rank = dirac_a.grid, dirac_a.rank
     if intertwiner is not None:
         _check_unitary(intertwiner, dirac_a.size)
-        sign_a = sign_of(dirac_a, tol=config.tau).matrix
-        # Conjugating by U adds two dense products on top of sign(D_A).
-        # In working precision their rounding sits above the floor left by
-        # the eigensolver, which would make the U-run residuals look worse
-        # than the identity run for reasons that have nothing to do with
-        # the operators.  Extended precision keeps the conjugation error
-        # below that floor; on large systems the slow long-double path is
-        # not worth it and the plain product is used instead.
-        if sign_a.shape[0] <= 512:
-            um = intertwiner.matrix.astype(np.clongdouble)
-            sm = sign_a.astype(np.clongdouble)
-            conjugated = (um @ sm @ um.conj().T).astype(np.complex128)
-        else:
-            conjugated = intertwiner.matrix @ sign_a @ intertwiner.matrix.conj().T
+        u = intertwiner.matrix
+        conjugated = u @ sign_of(dirac_a, tol=config.tau).matrix @ u.conj().T
         conjugated = 0.5 * (conjugated + conjugated.conj().T)
         blocks_a, blocks_b = conjugated[None], sign_of(dirac_b, tol=config.tau).blocks
     else:

@@ -211,22 +211,6 @@ class Metric:
         return self.factor.value_at(point, self.grid.periods)
 
 
-@dataclass(frozen=True)
-class Covector:
-    """A cotangent vector: components attached to a base point."""
-
-    point: tuple[float, ...]
-    components: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", _as_tuple(self.point))
-        object.__setattr__(self, "components", _as_tuple(self.components))
-        if len(self.point) != len(self.components):
-            raise ValueError("point and components must have equal dimension")
-        if not all(np.isfinite(c) for c in self.components):
-            raise ValueError("covector components must be finite")
-
-
 def _as_tuple(x) -> tuple[float, ...]:
     if np.isscalar(x):
         return (float(x),)

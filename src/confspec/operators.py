@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._basis import (
-    TAU,
-    samples_to_coefficients,
-    coefficients_to_samples,
-    spectral_derivative,
-    unitary_dft,
-)
+from ._basis import TAU, spectral_derivative
 from .geometry import Grid, Metric, _as_point, _as_tuple
 
 PERIODIC = "periodic"
@@ -69,62 +63,6 @@ class SpinStructure:
         return len(self.parities)
 
 
-def spin_structure(*parities: str) -> SpinStructure:
-    """Convenience constructor: ``spin_structure("antiperiodic", "periodic")``."""
-    return SpinStructure(tuple(parities))
-
-
-@dataclass(frozen=True, eq=False)
-class SpinorField:
-    """Spinor samples on a grid: complex values of shape (sites, rank)."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.ndim == 1:
-            values = values[:, None]
-        if values.ndim != 2 or values.shape[0] != self.grid.sites:
-            raise ValueError(
-                f"expected values of shape (sites, rank) with sites={self.grid.sites}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("spinor values must be finite")
-        object.__setattr__(self, "values", values)
-        self.values.flags.writeable = False
-
-    @property
-    def rank(self) -> int:
-        return self.values.shape[1]
-
-    def norm(self) -> float:
-        """L^2 norm with the flat cell volume of the grid."""
-        return float(np.sqrt(self.grid.cell_volume) * np.linalg.norm(self.values))
-
-    def inner(self, other: "SpinorField") -> complex:
-        if other.grid != self.grid or other.rank != self.rank:
-            raise ValueError("spinor fields live on different bundles")
-        return complex(self.grid.cell_volume * np.vdot(self.values, other.values))
-
-    def coefficients(self) -> np.ndarray:
-        """Fourier coefficient vector of length sites * rank."""
-        cube = self.values.reshape(self.grid.shape + (self.rank,))
-        for axis in range(self.grid.dim):
-            cube = samples_to_coefficients(cube, axis=axis)
-        return cube.reshape(-1)
-
-    @classmethod
-    def from_coefficients(cls, grid: Grid, coeffs: np.ndarray) -> "SpinorField":
-        coeffs = np.asarray(coeffs, dtype=complex)
-        rank = coeffs.size // grid.sites
-        if rank * grid.sites != coeffs.size:
-            raise ValueError("coefficient vector length must be a multiple of sites")
-        cube = coeffs.reshape(grid.shape + (rank,))
-        for axis in range(grid.dim):
-            cube = coefficients_to_samples(cube, axis=axis)
-        return cls(grid=grid, values=cube.reshape(grid.sites, rank))
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Dense operator on Fourier coefficient vectors.
@@ -163,12 +101,6 @@ class OperatorMatrix:
     def blocks(self) -> np.ndarray:
         """The matrix as a one-block stack, shape (1, n, n)."""
         return self.matrix[None]
-
-    def apply(self, field: SpinorField) -> SpinorField:
-        if field.grid != self.grid or field.rank != self.rank:
-            raise ValueError("field does not match the operator's bundle")
-        return SpinorField.from_coefficients(
-            self.grid, self.matrix @ field.coefficients())
 
     def norm(self) -> float:
         """Spectral (operator) norm."""
@@ -216,24 +148,14 @@ def _hermitian_drift(a: np.ndarray, band: int = 128) -> float:
                 for i in range(0, a.shape[-1], band)), default=0.0)
 
 
-def _site_dft(grid: Grid) -> np.ndarray:
-    """Unitary coefficient-to-sample matrix over all grid sites."""
-    mats = [unitary_dft(n) for n in grid.shape]
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
-def _lift_scalar(block: np.ndarray, rank: int) -> np.ndarray:
-    """Tensor a site-indexed matrix with the identity on the spinor index."""
-    if rank == 1:
-        return block
-    s = block.shape[0]
-    out = np.zeros((s, rank, s, rank), dtype=complex)
-    for t in range(rank):
-        out[:, t, :, t] = block
-    return out.reshape(s * rank, s * rank)
+def _difference_index(grid: Grid) -> np.ndarray:
+    """Flat mode index of k - l (mod N on each axis) for every pair of
+    flat mode indices (k, l), shape (sites, sites)."""
+    idx = np.zeros((1, 1), dtype=np.intp)
+    for n in grid.shape:
+        d = (np.arange(n)[:, None] - np.arange(n)) % n
+        idx = (idx[:, None, :, None] * n + d[None, :, None, :]).reshape(idx.shape[0] * n, -1)
+    return idx
 
 
 def multiplication_operator(samples, grid: Grid, rank: int = 1) -> OperatorMatrix:
@@ -250,33 +172,32 @@ def multiplication_operator(samples, grid: Grid, rank: int = 1) -> OperatorMatri
         Spinor rank of the target bundle.
 
     A constant scalar is represented exactly as that multiple of the
-    identity.  The conjugation uses the full DFT, so multiplication
-    operators compose exactly: M(f) M(g) = M(f g) to machine precision.
+    identity.  Any other field f (a scalar one as the blocks f I) is
+    block-circulant in modes, M[(k, a), (l, b)] = fftn(f)[k - l, a, b] / S
+    with mode differences taken mod N on each axis, which is the full DFT
+    conjugation F* diag(f) F.  Multiplication operators therefore compose
+    exactly: M(f) M(g) = M(f g) to machine precision.
     """
     f = np.asarray(samples)
     s = grid.sites
     if f.shape in (grid.shape, (s,)):
         flat = f.reshape(s).astype(complex)
-        hermitian = bool(np.all(np.abs(flat.imag) == 0.0))
         if np.all(flat == flat[0]):
-            m = flat[0] * np.eye(s, dtype=complex)
-        else:
-            F = _site_dft(grid)
-            m = F.conj().T @ (flat[:, None] * F)
-        return OperatorMatrix(matrix=_lift_scalar(m, rank), grid=grid, rank=rank,
-                              hermitian=hermitian)
-    if f.shape in (grid.shape + (rank, rank), (s, rank, rank)):
-        blocks = f.reshape(s, rank, rank).astype(complex)
-        F = _site_dft(grid)
-        out = np.zeros((s, rank, s, rank), dtype=complex)
-        for a in range(rank):
-            for b in range(rank):
-                out[:, a, :, b] = F.conj().T @ (blocks[:, a, b, None] * F)
-        m = out.reshape(s * rank, s * rank)
-        hermitian = bool(np.max(np.abs(blocks - blocks.conj().transpose(0, 2, 1))) == 0.0)
-        return OperatorMatrix(matrix=m, grid=grid, rank=rank, hermitian=hermitian)
-    raise ValueError(
-        f"samples of shape {f.shape} match neither a scalar field nor a rank-{rank} matrix field")
+            return OperatorMatrix(matrix=flat[0] * np.eye(s * rank, dtype=complex),
+                                  grid=grid, rank=rank,
+                                  hermitian=bool(flat[0].imag == 0.0))
+        f = flat[:, None, None] * np.eye(rank)
+    elif f.shape not in (grid.shape + (rank, rank), (s, rank, rank)):
+        raise ValueError(f"samples of shape {f.shape} match neither a scalar field "
+                         f"nor a rank-{rank} matrix field")
+    blocks = f.reshape(grid.shape + (rank, rank)).astype(complex)
+    hermitian = bool(np.max(np.abs(blocks - np.swapaxes(blocks, -1, -2).conj())) == 0.0)
+    spectrum = np.fft.fftn(blocks, axes=tuple(range(grid.dim))).reshape(s, rank, rank) / s
+    spinor = np.arange(rank)
+    m = spectrum[_difference_index(grid)[:, None, :, None],
+                 spinor[None, :, None, None], spinor[None, None, None, :]]
+    return OperatorMatrix(matrix=m.reshape(s * rank, s * rank), grid=grid, rank=rank,
+                          hermitian=hermitian)
 
 
 def _flat_symbol_blocks(metric: Metric, spin: SpinStructure) -> np.ndarray:
@@ -349,21 +270,6 @@ def build_dirac(metric: Metric, spin: SpinStructure, grid: Grid | None = None) -
                           hermitian=True, spin=spin, metric=metric)
 
 
-@dataclass(frozen=True)
-class CliffordAction:
-    """Clifford multiplication of covectors for a fixed metric.
-
-    Calling the action on a base point and covector components returns the
-    rank x rank matrix ``c_g(xi)``; it satisfies the anticommutation rule
-    c(xi) c(eta) + c(eta) c(xi) = -2 g*(xi, eta) Id.
-    """
-
-    metric: Metric
-
-    def __call__(self, x, xi) -> np.ndarray:
-        return clifford(self.metric, x, xi)
-
-
 def clifford(metric: Metric, x, xi) -> np.ndarray:
     """Clifford action ``c_g(xi)`` at the point x, an anti-hermitian
     rank x rank matrix."""
@@ -411,8 +317,6 @@ def commutator(op: OperatorMatrix, a_samples) -> OperatorMatrix:
     a = np.asarray(a_samples, dtype=float)
     if op.metric is not None:
         field, _ = _clifford_derivative_field(op.metric, a)
-        if op.metric.dim == 1:
-            return multiplication_operator(field.reshape(-1), op.grid, rank=op.rank)
         return multiplication_operator(field, op.grid, rank=op.rank)
     m = multiplication_operator(a, op.grid, rank=op.rank)
     return OperatorMatrix(matrix=op.matrix @ m.matrix - m.matrix @ op.matrix,

@@ -81,6 +81,21 @@ def test_config_and_demo_are_exclusive(tmp_path, capsys):
     assert "exactly one of --config or --demo" in err
 
 
+@pytest.mark.parametrize("argv", [["--bogus"], ["--threads", "2"], ["--seed", "x"],
+                                  ["--demo", "nope"]])
+def test_usage_errors_exit_with_the_error_code(argv, tmp_path, capsys):
+    config = _write_config(tmp_path, {"scenario": "build",
+                                      "metric": _circle_record()})
+    assert main(["--config", config, "--out", str(tmp_path / "out")] + argv) == EXIT_ERROR
+    assert "usage:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_ok(capsys):
+    assert main(["--help"]) == EXIT_OK
+    assert "--config" in capsys.readouterr().out
+
+
 def test_invalid_json_reports_location(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"scenario": "build",,}')
@@ -152,18 +167,17 @@ def test_seed_override_changes_the_hash(tmp_path):
     assert read("a")["input_hash"] != read("c")["input_hash"]
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CONFSPEC_THREADS", "2")
+def test_config_with_a_threads_key_still_runs(tmp_path):
+    # the former "threads" setting is an unknown key now, and unknown keys
+    # are ignored
     config = _write_config(tmp_path, {
         "scenario": "probe",
         "metric": _circle_record(),
         "point": [0.0],
         "direction": [1],
+        "threads": 2,
     })
     assert main(["--config", config, "--out", str(tmp_path / "out")]) == EXIT_OK
-    monkeypatch.setenv("CONFSPEC_THREADS", "many")
-    assert main(["--config", config]) == EXIT_ERROR
-    assert "CONFSPEC_THREADS" in capsys.readouterr().err
 
 
 def test_recover_scenario(tmp_path):

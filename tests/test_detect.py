@@ -7,6 +7,7 @@ from confspec import (
     CONFORMAL,
     DetectConfig,
     DistanceConfig,
+    Grid,
     NOT_CONFORMAL,
     OperatorMatrix,
     SpinStructure,
@@ -203,6 +204,17 @@ def test_extract_character_multiplier(flat_circle):
     assert np.max(np.abs(rebuilt.matrix - op.matrix)) <= 1e-12
 
 
+def test_extract_matrix_multiplier_on_a_torus(rng):
+    grid = Grid((8, 6), (TWO_PI, TWO_PI))
+    field = rng.normal(size=(48, 2, 2)) + 1j * rng.normal(size=(48, 2, 2))
+    op = multiplication_operator(field, grid, rank=2)
+    extract = extract_multiplier(op)
+    assert extract.residual <= 1e-12
+    assert np.max(np.abs(extract.psi - field)) <= 1e-12
+    rebuilt = extract.reassemble()
+    assert np.max(np.abs(rebuilt.matrix - op.matrix)) <= 1e-12
+
+
 def test_extract_identity_multiplier(flat_circle):
     op = OperatorMatrix(matrix=np.eye(64, dtype=complex), grid=flat_circle.grid,
                         rank=1, hermitian=True)
@@ -223,10 +235,11 @@ def test_dft_is_not_a_multiplier(flat_circle):
 
 # ------------------------------------------- mode-block signs in detection
 
-def _dense_channels(dirac_a, dirac_b, config, intertwiner=None):
+def _dense_channels(dirac_a, dirac_b, config, intertwiner=None, dtype=np.complex128):
     """Both channels of detect_conformal on dense n x n signs: the
     difference OperatorMatrix(sign_of(b) - U sign_of(a) U*) through the
-    same probes, and the cometric channel one point at a time."""
+    same probes, and the cometric channel one point at a time.  U sign(a) U*
+    is formed in ``dtype`` and rounded back to complex128."""
     from confspec import (INCONCLUSIVE, NON_VANISHING, VANISHING,
                           ProbeConvergenceError, sign_of, standard_probe,
                           vanishing_symbol_test)
@@ -235,8 +248,8 @@ def _dense_channels(dirac_a, dirac_b, config, intertwiner=None):
     sign_b = sign_of(dirac_b, tol=config.tau)
     a = sign_of(dirac_a, tol=config.tau).matrix
     if intertwiner is not None:
-        um = intertwiner.matrix.astype(np.clongdouble)
-        conjugated = (um @ a.astype(np.clongdouble) @ um.conj().T).astype(np.complex128)
+        um = intertwiner.matrix.astype(dtype)
+        conjugated = (um @ a.astype(dtype) @ um.conj().T).astype(np.complex128)
         a = 0.5 * (conjugated + conjugated.conj().T)
     sign_a = OperatorMatrix(matrix=a, grid=grid, rank=rank, hermitian=True)
     difference = OperatorMatrix(matrix=sign_b.matrix - a, grid=grid, rank=rank,
@@ -356,6 +369,26 @@ def test_phase_intertwiner_is_bit_identical_to_the_dense_reference(
     _assert_same_verdict(verdict, report, deviations, symbol, cometric)
     assert verdict.decision == CONFORMAL
     assert np.array_equal(_rows(verdict.report), _rows(report))
+    assert np.max(np.abs(verdict.cometric_deviations - deviations)) <= 1e-13
+
+
+@pytest.mark.parametrize("amplitude", [0.3, 1.0])
+def test_phase_intertwiner_rows_match_the_long_double_conjugation(
+        dirac_flat_s1, dirac_curved_s1, flat_circle, amplitude):
+    # detect_conformal conjugates in working precision; the extended-precision
+    # conjugation it once used moves no evidence row beyond rounding
+    theta = circle_theta(64)
+    unitary = multiplication_operator(np.exp(1j * amplitude * np.sin(theta)),
+                                      flat_circle.grid)
+    config = DetectConfig()
+    verdict = detect_conformal(dirac_flat_s1, dirac_curved_s1, unitary, config)
+    report, deviations, symbol, cometric = _dense_channels(
+        dirac_flat_s1, dirac_curved_s1, config, unitary, dtype=np.clongdouble)
+    _assert_same_verdict(verdict, report, deviations, symbol, cometric)
+    assert verdict.decision == CONFORMAL
+    expected = _rows(report)
+    assert np.all(np.abs(_rows(verdict.report) - expected)
+                  <= 1e-13 * np.maximum(expected, 1.0))
     assert np.max(np.abs(verdict.cometric_deviations - deviations)) <= 1e-13
 
 

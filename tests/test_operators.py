@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from confspec import (
+    Grid,
     PAULI_X,
     PAULI_Y,
     SpinStructure,
@@ -182,6 +183,45 @@ def test_multipliers_compose_pointwise(flat_circle, rng):
                @ multiplication_operator(b, grid).matrix)
     direct = multiplication_operator(a * b, grid).matrix
     assert np.allclose(product, direct, atol=1e-12)
+
+
+def _dft_sandwich(field, grid, rank):
+    """Reference multiplier F* diag(f) F, one rank x rank entry of the
+    field at a time, with the unitary coefficient-to-sample matrix
+    F[j, k] = exp(i k theta_j) / sqrt(N) over ascending modes, tensored
+    over the axes."""
+    dft = np.ones((1, 1))
+    for n in grid.shape:
+        theta = TWO_PI * np.arange(n) / n
+        modes = np.arange(-(n // 2), n // 2)
+        dft = np.kron(dft, np.exp(1j * np.outer(theta, modes)) / np.sqrt(n))
+    s = grid.sites
+    f = np.asarray(field, dtype=complex)
+    if f.shape in (grid.shape, (s,)):
+        f = f.reshape(s)[:, None, None] * np.eye(rank)
+    f = f.reshape(s, rank, rank)
+    out = np.zeros((s, rank, s, rank), dtype=complex)
+    for a in range(rank):
+        for b in range(rank):
+            out[:, a, :, b] = dft.conj().T @ (f[:, a, b, None] * dft)
+    return out.reshape(s * rank, s * rank)
+
+
+@pytest.mark.parametrize("shape", [(64,), (8, 6)])
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("kind", ["scalar", "hermitian", "matrix"])
+def test_multiplier_matches_the_dft_sandwich(shape, rank, kind, rng):
+    grid = Grid(shape, (TWO_PI,) * len(shape))
+    if kind == "scalar":
+        field = rng.normal(size=shape)
+    else:
+        field = rng.normal(size=shape + (rank, rank)) \
+            + 1j * rng.normal(size=shape + (rank, rank))
+        if kind == "hermitian":
+            field = field + np.swapaxes(field, -1, -2).conj()
+    op = multiplication_operator(field, grid, rank=rank)
+    assert op.hermitian == (kind != "matrix")
+    assert np.max(np.abs(op.matrix - _dft_sandwich(field, grid, rank))) <= 1e-13
 
 
 # ------------------------------------------------------------------ commutators
