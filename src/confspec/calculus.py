@@ -1,17 +1,29 @@
 """Hermitian functional calculus: the matrix sign function and spectral
-projectors via eigendecomposition.
+projectors.
 
 The kernel of a discretized operator is never exactly zero, so a relative
 threshold tau stands in for "eigenvalue equals zero"; every result records
 the tau it was computed with.
 
-Operators whose nonzeros all sit in the rank x rank block of their own
-Fourier mode (flat Dirac operators, and any diagonal matrix) are
-decomposed block by block: one batched ``eigh`` over the (sites, rank,
-rank) stack replaces the dense one, and every function of the operator is
-assembled per block.  All other operators take one dense ``eigh``, which
-is the same computation with a single block.  Conformal detection keeps
-the sign as that block stack and never assembles the n x n matrix.
+One structure scan per operator picks how it is decomposed:
+
+1. Operators whose nonzeros all sit in the rank x rank block of their own
+   Fourier mode (flat Dirac operators, and any diagonal matrix) take one
+   batched ``eigh`` over the (sites, rank, rank) stack, and every function
+   of the operator is assembled per block.  Conformal detection keeps the
+   sign as that block stack and never assembles the n x n matrix.
+2. Rank-2 operators that are odd for the spinor grading, [[0, A], [A*, 0]]
+   with both chiral-diagonal quarters exactly zero (every curved torus
+   Dirac operator), take the SVD A = W diag(sigma) V* of the sites x sites
+   chiral block.  The eigenvalues of the operator are +-sigma, so
+   sign = [[0, U], [U*, 0]] with U = W' V'* the polar factor over the
+   singular values above tau, P_0 = diag(I - W'W'*, I - V'V'*) and
+   P_+- = (I - P_0 +- sign) / 2.  The SVD residuals and the
+   orthonormality of W and V are checked as the eigen residuals are.
+3. All other operators take one dense ``eigh``.
+
+``eigendecompose`` knows only the first and last kind and is the dense
+reference the graded path is tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import Grid
-from .operators import OperatorMatrix
+from .operators import BlockDiagonalOperator, OperatorMatrix
 
 DEFAULT_RELATIVE_TAU = 1e-8
 
@@ -145,14 +157,16 @@ def _mode_blocks(op: OperatorMatrix) -> np.ndarray | None:
     return blocks
 
 
-def eigendecompose(op: OperatorMatrix) -> SpectralDecomposition:
+def eigendecompose(op: OperatorMatrix | BlockDiagonalOperator) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian operator.
 
     When every nonzero of the matrix lies in the rank x rank block of its
     own grid site, one batched ``eigh`` runs over the (sites, rank, rank)
     stack; on a diagonal matrix this is a permutation of the diagonal,
     computed without round-off.  Any other operator takes one dense
-    ``eigh``.  Phases follow the first-significant-component convention.
+    ``eigh``.  A BlockDiagonalOperator is decomposed over its own block
+    stack, with no scan.  Phases follow the first-significant-component
+    convention.
 
     Raises
     ------
@@ -162,9 +176,12 @@ def eigendecompose(op: OperatorMatrix) -> SpectralDecomposition:
         orthonormality defect (against 1e-10) of any block exceeds
         tolerance.
     """
-    if not op.hermitian:
+    if isinstance(op, BlockDiagonalOperator):
+        blocks = op.blocks
+    elif not op.hermitian:
         raise ValueError("eigendecompose needs an operator built as Hermitian")
-    blocks = _mode_blocks(op)
+    else:
+        blocks = _mode_blocks(op)
     if blocks is None:
         lam, vec = np.linalg.eigh(op.matrix)
         blocks, lam, vec = op.matrix[None], lam[None], vec[None]
@@ -184,7 +201,103 @@ def eigendecompose(op: OperatorMatrix) -> SpectralDecomposition:
                                  orthonormality_defect=ortho)
 
 
-def _resolve_tau(dec: SpectralDecomposition, tol) -> float:
+@dataclass(frozen=True, eq=False)
+class _GradedDecomposition:
+    """Checked SVD A = W diag(sigma) V* of the chiral block of a graded
+    operator [[0, A], [A*, 0]]; ``vh`` is V*, ``sigma`` descends.
+
+    ``residual`` is the larger of max|A V - W Sigma| and max|A* W - V Sigma|,
+    ``orthonormality_defect`` the larger of max|W* W - I| and
+    max|V* V - I|.
+    """
+
+    w: np.ndarray
+    sigma: np.ndarray
+    vh: np.ndarray
+    residual: float
+    orthonormality_defect: float
+
+    @property
+    def scale(self) -> float:
+        """Largest singular value, the spectral norm of the operator."""
+        return float(np.max(self.sigma, initial=0.0))
+
+    def function(self, kind: str, tau: float) -> np.ndarray:
+        """The sign, or the spectral projector ``kind`` (one of
+        PROJECTOR_KINDS), as one n x n matrix, spinor index fastest."""
+        k = int(np.count_nonzero(self.sigma > tau))
+        w, vh = self.w[:, :k], self.vh[:k]
+        s = self.sigma.size
+        out = np.zeros((s, 2, s, 2), dtype=complex)
+        if kind == "zero":
+            for chirality, vectors in ((0, w), (1, vh.conj().T)):
+                image = vectors @ vectors.conj().T
+                out[:, chirality, :, chirality] = np.eye(s) - 0.5 * (image + image.conj().T)
+            return out.reshape(2 * s, 2 * s)
+        u = w @ vh
+        out[:, 0, :, 1] = u
+        out[:, 1, :, 0] = u.conj().T
+        sign = out.reshape(2 * s, 2 * s)
+        if kind == "sign":
+            return sign
+        odd = sign if kind == "plus" else -sign
+        return 0.5 * (np.eye(2 * s) - self.function("zero", tau) + odd)
+
+
+def _chiral_block(op: OperatorMatrix) -> np.ndarray | None:
+    """The sites x sites block A of a rank-2 operator [[0, A], [A*, 0]] in
+    the spinor grading, or None when the operator is not of that form."""
+    if op.rank != 2:
+        return None
+    quarters = op.matrix.reshape(op.grid.sites, 2, op.grid.sites, 2)
+    if np.any(quarters[:, 0, :, 0]) or np.any(quarters[:, 1, :, 1]):
+        return None
+    return np.ascontiguousarray(quarters[:, 0, :, 1])
+
+
+def _graded_decompose(a: np.ndarray) -> _GradedDecomposition:
+    """Checked SVD of a chiral block.
+
+    Raises
+    ------
+    ValueError
+        If max|A V - W Sigma| or max|A* W - V Sigma| exceeds
+        1e-9 * max(sigma_max, 1), or if W or V is not orthonormal within
+        1e-10.
+    """
+    w, sigma, vh = np.linalg.svd(a)
+    v = vh.conj().T
+    scale = max(float(np.max(sigma, initial=0.0)), 1.0)
+    residual = max(float(np.max(np.abs(a @ v - w * sigma))),
+                   float(np.max(np.abs(a.conj().T @ w - v * sigma))))
+    if residual > 1e-9 * scale:
+        raise ValueError(f"chiral SVD residual {residual:.3e} exceeds 1e-9 * scale")
+    eye = np.eye(sigma.size)
+    ortho = max(float(np.max(np.abs(w.conj().T @ w - eye))),
+                float(np.max(np.abs(vh @ v - eye))))
+    if ortho > 1e-10:
+        raise ValueError(f"singular vectors not orthonormal: defect {ortho:.3e}")
+    return _GradedDecomposition(w=w, sigma=sigma, vh=vh, residual=residual,
+                                orthonormality_defect=ortho)
+
+
+def _decompose(op: OperatorMatrix) -> SpectralDecomposition | _GradedDecomposition:
+    """Decomposition after one structure scan: mode blocks, else graded,
+    else dense (see the module docstring).  Mode blocks go to
+    ``eigendecompose`` as a block stack, so a flat operator is scanned once;
+    a dense one is scanned again there, O(n^2) beside its O(n^3) ``eigh``."""
+    if not op.hermitian:
+        raise ValueError("eigendecompose needs an operator built as Hermitian")
+    blocks = _mode_blocks(op)
+    if blocks is not None:
+        return eigendecompose(BlockDiagonalOperator(blocks=blocks, grid=op.grid, rank=op.rank))
+    chiral = _chiral_block(op)
+    if chiral is not None:
+        return _graded_decompose(chiral)
+    return eigendecompose(op)
+
+
+def _resolve_tau(dec, tol) -> float:
     if tol is None:
         return DEFAULT_RELATIVE_TAU * dec.scale
     tau = float(tol)
@@ -193,13 +306,31 @@ def _resolve_tau(dec: SpectralDecomposition, tol) -> float:
     return tau
 
 
+_WEIGHTS = {
+    "sign": lambda lam, kernel: np.where(kernel, 0.0, np.sign(lam)),
+    "plus": lambda lam, kernel: (~kernel & (lam > 0.0)).astype(float),
+    "minus": lambda lam, kernel: (~kernel & (lam < 0.0)).astype(float),
+    "zero": lambda lam, kernel: kernel.astype(float),
+}
+
+
+def _function_stack(op: OperatorMatrix, kind: str, tol=None) -> tuple[np.ndarray, float]:
+    """The sign (``kind`` "sign") or a spectral projector of op as the
+    (blocks, m, m) stack of its decomposition, with the kernel threshold
+    it was computed with: one block per site for mode-block operators, a
+    single n x n block otherwise."""
+    dec = _decompose(op)
+    tau = _resolve_tau(dec, tol)
+    if isinstance(dec, _GradedDecomposition):
+        return dec.function(kind, tau)[None], tau
+    lam = dec.block_eigenvalues
+    return dec._function_blocks(_WEIGHTS[kind](lam, np.abs(lam) <= tau)), tau
+
+
 def _sign_blocks(op: OperatorMatrix, tol=None) -> tuple[np.ndarray, float]:
     """sign(op) as the (blocks, m, m) stack of its decomposition, with the
     kernel threshold it was computed with (see sign_of)."""
-    dec = eigendecompose(op)
-    tau = _resolve_tau(dec, tol)
-    lam = dec.block_eigenvalues
-    return dec._function_blocks(np.where(np.abs(lam) <= tau, 0.0, np.sign(lam))), tau
+    return _function_stack(op, "sign", tol)
 
 
 def sign_of(op: OperatorMatrix, tol=None) -> OperatorMatrix:
@@ -210,10 +341,8 @@ def sign_of(op: OperatorMatrix, tol=None) -> OperatorMatrix:
     result keeps grid, rank, and spin but deliberately drops metric
     provenance: a sign is no longer a Dirac operator.
     """
-    dec = eigendecompose(op)
-    tau = _resolve_tau(dec, tol)
-    weights = np.where(np.abs(dec.eigenvalues) <= tau, 0.0, np.sign(dec.eigenvalues))
-    return OperatorMatrix(matrix=dec.apply_function(weights), grid=op.grid, rank=op.rank,
+    blocks, tau = _sign_blocks(op, tol)
+    return OperatorMatrix(matrix=_embed(blocks), grid=op.grid, rank=op.rank,
                           hermitian=True, spin=op.spin, tolerance=tau)
 
 
@@ -222,21 +351,15 @@ def spectral_projector(op: OperatorMatrix, which: str = "zero", tol=None) -> Ope
     spectral subspace of a Hermitian operator."""
     if which not in PROJECTOR_KINDS:
         raise ValueError(f"which must be one of {PROJECTOR_KINDS}, got {which!r}")
-    dec = eigendecompose(op)
-    tau = _resolve_tau(dec, tol)
-    kernel = np.abs(dec.eigenvalues) <= tau
-    if which == "zero":
-        weights = np.where(kernel, 1.0, 0.0)
-    elif which == "plus":
-        weights = np.where(~kernel & (dec.eigenvalues > 0.0), 1.0, 0.0)
-    else:
-        weights = np.where(~kernel & (dec.eigenvalues < 0.0), 1.0, 0.0)
-    return OperatorMatrix(matrix=dec.apply_function(weights), grid=op.grid, rank=op.rank,
+    blocks, tau = _function_stack(op, which, tol)
+    return OperatorMatrix(matrix=_embed(blocks), grid=op.grid, rank=op.rank,
                           hermitian=True, spin=op.spin, tolerance=tau)
 
 
 def kernel_rank(op: OperatorMatrix, tol=None) -> int:
     """Number of eigenvalues within the kernel threshold."""
-    dec = eigendecompose(op)
+    dec = _decompose(op)
     tau = _resolve_tau(dec, tol)
+    if isinstance(dec, _GradedDecomposition):
+        return 2 * int(np.count_nonzero(dec.sigma <= tau))
     return int(np.count_nonzero(np.abs(dec.block_eigenvalues) <= tau))

@@ -142,8 +142,10 @@ def _run_sign(config: ScenarioConfig, out_dir: str):
     signed = sign_of(dirac, tol=tau)
     sign_path = os.path.join(out_dir, "sign.npz")
     save_operator(signed, sign_path)
+    # sign^2 = I - P_0, so the kernel rank is n - ||sign||_F^2
+    rank = signed.size - round(float(np.vdot(signed.matrix, signed.matrix).real))
     outputs = {"sign_path": sign_path, "tolerance": signed.tolerance,
-               "kernel_rank": kernel_rank(dirac, tol=tau), "size": signed.size}
+               "kernel_rank": rank, "size": signed.size}
     return outputs, None, EXIT_OK
 
 
@@ -182,9 +184,9 @@ def _detect_config(config: ScenarioConfig) -> DetectConfig:
                  "cometric_distinct", "tau"):
         if name in data:
             kwargs[name] = data[name]
-    if "schedule" in data:
-        kwargs["schedule"] = tuple(data["schedule"])
     try:
+        if "schedule" in data:
+            kwargs["schedule"] = tuple(data["schedule"])
         return DetectConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError("thresholds", str(exc)) from exc
@@ -209,12 +211,13 @@ def _run_detect(config: ScenarioConfig, out_dir: str):
     metric_b = _metric_entry(config, "metric_b")
     spin_a = _spin_entry(config, metric_a)
     spin_b = _spin_entry(config, metric_b)
+    thresholds = _detect_config(config)
     dirac_a = build_dirac(metric_a, spin_a)
     dirac_b = build_dirac(metric_b, spin_b)
     if dirac_a.grid != dirac_b.grid:
         raise ConfigError("metric_b", "the two metrics live on different grids")
     intertwiner = _intertwiner_entry(config, dirac_a.grid, dirac_a.rank)
-    verdict = detect_conformal(dirac_a, dirac_b, intertwiner, _detect_config(config))
+    verdict = detect_conformal(dirac_a, dirac_b, intertwiner, thresholds)
     code = EXIT_OK if verdict.decision != INCONCLUSIVE else EXIT_INCONCLUSIVE
     return verdict_to_dict(verdict), verdict.report.rows, code
 

@@ -436,6 +436,8 @@ class DetectConfig:
             raise ValueError("need theta_vanish < theta_present")
         if not self.cometric_agree <= self.cometric_distinct:
             raise ValueError("need cometric_agree <= cometric_distinct")
+        if self.tau is not None and not (np.isfinite(self.tau) and self.tau >= 0.0):
+            raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,10 @@ The conformal Dirac operator is the symmetric sandwich
 
 the unitary image of the curved-metric operator inside the flat-measure
 Hilbert space of the background.  Spin structures enter only through the
-half-integer shifts of the flat symbol.
+half-integer shifts of the flat symbol.  On the torus the envelope is
+scalar and the flat symbol is off-diagonal in the spinor index, so D_g is
+[[0, A], [A*, 0]] in the spinor grading, with the sites x sites chiral
+block A = M(exp(-v/2)) diag(p_x - i p_y) M(exp(-v/2)).
 """
 
 from __future__ import annotations
@@ -251,21 +254,32 @@ def build_dirac(metric: Metric, spin: SpinStructure, grid: Grid | None = None) -
     -----
     When v vanishes identically the flat operator is returned as built, with
     no numerical conjugation: multiplication by the constant 1 is exactly
-    the identity.
+    the identity.  A curved torus operator is assembled from its chiral
+    block A and A*, so it is exactly Hermitian with exactly zero
+    chiral-diagonal quarters; a curved circle operator is the symmetrized
+    sandwich.
     """
     if grid is not None and grid != metric.grid:
         raise ValueError("explicit grid does not match the metric's grid")
     if spin.dim != metric.dim:
         raise ValueError(
             f"need {metric.dim} spin parities for a {metric.dim}-dimensional metric")
-    flat = flat_dirac(metric, spin)
     v = metric.factor.samples
     if np.all(v == 0.0):
-        return flat
-    w = np.exp(-0.5 * v)
-    envelope = multiplication_operator(w, metric.grid, rank=metric.spinor_rank)
-    d = envelope.matrix @ flat.matrix @ envelope.matrix
-    d = 0.5 * (d + d.conj().T)
+        return flat_dirac(metric, spin)
+    envelope = multiplication_operator(np.exp(-0.5 * v), metric.grid).matrix
+    if metric.dim == 1:
+        d = envelope @ flat_dirac(metric, spin).matrix @ envelope
+        d = 0.5 * (d + d.conj().T)
+    else:
+        # the scalar envelope keeps D odd for the spinor grading, so only
+        # the chiral block E diag(p_x - i p_y) E is a product
+        s = metric.grid.sites
+        a = (envelope * _flat_symbol_blocks(metric, spin)[:, 0, 1]) @ envelope
+        d = np.zeros((s, 2, s, 2), dtype=complex)
+        d[:, 0, :, 1] = a
+        d[:, 1, :, 0] = a.conj().T
+        d = d.reshape(2 * s, 2 * s)
     return OperatorMatrix(matrix=d, grid=metric.grid, rank=metric.spinor_rank,
                           hermitian=True, spin=spin, metric=metric)
 

@@ -317,3 +317,160 @@ def test_dense_operator_takes_dense_eigh(monkeypatch, dirac_curved_s1):
     monkeypatch.setattr(np.linalg, "eigh", spy)
     sign_of(dirac_curved_s1)
     assert shapes == [(dirac_curved_s1.size, dirac_curved_s1.size)]
+
+
+# --------------------------------------------------------- graded (chiral) path
+
+_SPINS = [("periodic", "periodic"), ("antiperiodic", "antiperiodic"),
+          ("antiperiodic", "periodic")]
+
+
+def _curved_torus(n, modulus, parities, amplitude=0.2):
+    from confspec import SpinStructure, make_torus_metric
+    from conftest import circle_theta
+    x, y = np.meshgrid(circle_theta(n), circle_theta(n), indexing="ij")
+    v = amplitude * (np.sin(x) + 0.5 * np.cos(x + y) - 0.3 * np.sin(2 * y))
+    return build_dirac(make_torus_metric(modulus, v, 2), SpinStructure(parities))
+
+
+def _eigh_function(op, kind, tol=None):
+    """Sign or projector from the dense reference decomposition."""
+    decomp = eigendecompose(op)
+    lam = decomp.eigenvalues
+    tau = 1e-8 * decomp.scale if tol is None else tol
+    return decomp.apply_function(_REFERENCE_WEIGHTS[kind](lam, tau)), \
+        int(np.count_nonzero(np.abs(lam) <= tau))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("modulus", [1.0, 2.0])
+@pytest.mark.parametrize("parities", _SPINS)
+def test_graded_path_matches_dense_eigh(n, modulus, parities):
+    dirac = _curved_torus(n, modulus, parities)
+    for kind in _REFERENCE_WEIGHTS:
+        expected, kernel = _eigh_function(dirac, kind)
+        got = (sign_of(dirac) if kind == "sign"
+               else spectral_projector(dirac, which=kind))
+        assert got.hermitian
+        assert np.max(np.abs(got.matrix - expected)) <= 1e-13
+    assert kernel_rank(dirac) == kernel == (2 if parities == ("periodic", "periodic") else 0)
+
+
+def test_graded_path_honours_an_explicit_tolerance():
+    # a tolerance above the smallest singular values widens the kernel the
+    # same way on both paths
+    dirac = _curved_torus(8, 1.0, ("antiperiodic", "antiperiodic"))
+    tol = 1.0
+    expected, kernel = _eigh_function(dirac, "sign", tol)
+    assert kernel == 8  # |lambda| of 0.648 and 0.745, four times each
+    assert np.max(np.abs(sign_of(dirac, tol=tol).matrix - expected)) <= 1e-13
+    assert kernel_rank(dirac, tol=tol) == kernel
+    zero, _ = _eigh_function(dirac, "zero", tol)
+    got = spectral_projector(dirac, which="zero", tol=tol).matrix
+    assert np.max(np.abs(got - zero)) <= 1e-13
+
+
+def test_curved_torus_takes_one_chiral_svd_and_no_eigh(monkeypatch):
+    dirac = _curved_torus(8, 1.0, ("antiperiodic", "periodic"))
+    calls = []
+    originals = {name: getattr(np.linalg, name) for name in ("eigh", "svd")}
+
+    def spy(name):
+        def call(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return originals[name](a, *args, **kwargs)
+        return call
+
+    for name in originals:
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    sign_of(dirac)
+    sites = dirac.grid.sites
+    assert calls == [("svd", (sites, sites))]
+
+
+@pytest.mark.parametrize("factor", ["w", "sigma", "vh", "kernel"])
+def test_chiral_svd_gates_reject_perturbed_factors(monkeypatch, factor):
+    original = np.linalg.svd
+
+    def perturbed(a, *args, **kwargs):
+        w, sigma, vh = original(a, *args, **kwargs)
+        w, sigma, vh = w.copy(), sigma.copy(), vh.copy()
+        if factor == "w":
+            w[0, 0] += 1e-6
+        elif factor == "sigma":
+            sigma[0] *= 1.0 + 1e-6
+        elif factor == "vh":
+            vh[0, 0] += 1e-6
+        else:
+            # lengthen the left kernel vector: A* w_0 stays 0, so both
+            # residuals pass and only the orthonormality gate can see it
+            w[:, -1] *= 1.0 + 1e-6
+        return w, sigma, vh
+
+    dirac = _curved_torus(8, 1.0, ("periodic", "periodic"))
+    monkeypatch.setattr(np.linalg, "svd", perturbed)
+    match = "orthonormal" if factor == "kernel" else "residual"
+    for call in (lambda: sign_of(dirac), lambda: kernel_rank(dirac),
+                 lambda: spectral_projector(dirac, which="plus")):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+@pytest.mark.parametrize("tol", [-1e-3, float("nan"), float("inf")])
+def test_bad_tolerance_is_rejected_on_graded_and_dense_paths(tol, dirac_curved_s1):
+    graded = _curved_torus(8, 1.0, ("antiperiodic", "antiperiodic"))
+    for op in (graded, dirac_curved_s1):
+        for call in (lambda: sign_of(op, tol=tol), lambda: kernel_rank(op, tol=tol),
+                     lambda: spectral_projector(op, which="zero", tol=tol)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                call()
+
+
+def test_flat_operators_keep_the_mode_block_path(monkeypatch, dirac_t2_c1, dirac_t2_c2,
+                                                 dirac_flat_s1):
+    # a flat torus is graded too, but its mode blocks are found first: its
+    # sign is bit-identical to the mode-block decomposition's, and no SVD runs
+    original = np.linalg.svd
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a flat operator took the graded path")
+
+    import confspec.calculus
+    scan = confspec.calculus._mode_blocks
+    scans = []
+
+    def counted(op):
+        scans.append(op)
+        return scan(op)
+
+    for op in (dirac_t2_c1, dirac_t2_c2, dirac_flat_s1):
+        decomp = eigendecompose(op)
+        assert decomp.block_vectors.shape[1:] == (op.rank, op.rank)
+        tau = 1e-8 * decomp.scale
+        expected = decomp.apply_function(_REFERENCE_WEIGHTS["sign"](decomp.eigenvalues, tau))
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(confspec.calculus, "_mode_blocks", counted)
+        got = sign_of(op).matrix
+        monkeypatch.setattr(np.linalg, "svd", original)
+        monkeypatch.setattr(confspec.calculus, "_mode_blocks", scan)
+        assert got.tobytes() == expected.tobytes()
+        # the structure scan runs once: eigendecompose gets the blocks it found
+        assert scans == [op]
+        scans.clear()
+
+
+def test_chiral_svd_diagnostics_match_recomputation():
+    from confspec.calculus import _chiral_block, _graded_decompose
+    dirac = _curved_torus(8, 2.0, ("antiperiodic", "periodic"))
+    a = _chiral_block(dirac)
+    decomp = _graded_decompose(a)
+    v = decomp.vh.conj().T
+    eye = np.eye(a.shape[0])
+    residual = max(np.max(np.abs(a @ v - decomp.w * decomp.sigma)),
+                   np.max(np.abs(a.conj().T @ decomp.w - v * decomp.sigma)))
+    ortho = max(np.max(np.abs(decomp.w.conj().T @ decomp.w - eye)),
+                np.max(np.abs(decomp.vh @ v - eye)))
+    assert decomp.residual == residual
+    assert decomp.orthonormality_defect == ortho
+    assert decomp.scale == pytest.approx(np.max(np.abs(eigendecompose(dirac).eigenvalues)),
+                                         rel=1e-13)

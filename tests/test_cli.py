@@ -151,6 +151,48 @@ def test_build_scenario_writes_artifacts(tmp_path):
     assert operator.hermitian
 
 
+@pytest.mark.parametrize("bad", [{"tau": -1}, {"tau": float("nan")}, {"tau": "small"},
+                                 {"schedule": 3}])
+def test_bad_detect_thresholds_fail_before_any_operator_is_built(bad, tmp_path, capsys,
+                                                                 monkeypatch):
+    import confspec.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operator was built before the thresholds were checked")
+
+    monkeypatch.setattr(confspec.cli, "build_dirac", refuse)
+    config = _write_config(tmp_path, {
+        "scenario": "detect",
+        "metric_a": _circle_record(amplitude=0.0, band=0),
+        "metric_b": _circle_record(amplitude=0.25, band=1),
+        **bad,
+    })
+    assert main(["--config", config, "--out", str(tmp_path / "out")]) == EXIT_ERROR
+    assert "config error - thresholds" in capsys.readouterr().err
+
+
+def _torus_record(n, amplitude):
+    theta = circle_theta(n)
+    v = amplitude * (np.sin(theta)[:, None] + np.cos(theta)[None, :])
+    return metric_to_dict(make_torus_metric(1.0, v, 1 if amplitude else 0))
+
+
+@pytest.mark.parametrize("parities,amplitude", [(["periodic", "periodic"], 0.2),
+                                                (["antiperiodic", "antiperiodic"], 0.2),
+                                                (["periodic", "periodic"], 0.0)])
+def test_sign_scenario_kernel_rank_matches_the_operator(parities, amplitude, tmp_path):
+    from confspec import SpinStructure, build_dirac, kernel_rank
+    record = _torus_record(8, amplitude)
+    config = _write_config(tmp_path, {"scenario": "sign", "metric": record,
+                                      "spin": parities})
+    out = tmp_path / "out"
+    assert main(["--config", config, "--out", str(out)]) == EXIT_OK
+    outputs = json.loads((out / "result.json").read_text())["outputs"]
+    dirac = build_dirac(metric_from_dict(record), SpinStructure(tuple(parities)))
+    assert outputs["kernel_rank"] == kernel_rank(dirac)
+    assert outputs["kernel_rank"] == (2 if parities[0] == "periodic" else 0)
+
+
 def test_seed_override_changes_the_hash(tmp_path):
     config = _write_config(tmp_path, {
         "scenario": "probe",

@@ -235,18 +235,32 @@ def test_dft_is_not_a_multiplier(flat_circle):
 
 # ------------------------------------------- mode-block signs in detection
 
-def _dense_channels(dirac_a, dirac_b, config, intertwiner=None, dtype=np.complex128):
+def _eigh_sign(op, tol=None):
+    """sign(op) from the dense (or mode-block) reference eigendecomposition."""
+    from confspec import eigendecompose
+    decomp = eigendecompose(op)
+    lam = decomp.eigenvalues
+    tau = 1e-8 * decomp.scale if tol is None else tol
+    weights = np.where(np.abs(lam) <= tau, 0.0, np.sign(lam))
+    return OperatorMatrix(matrix=decomp.apply_function(weights), grid=op.grid,
+                          rank=op.rank, hermitian=True)
+
+
+def _dense_channels(dirac_a, dirac_b, config, intertwiner=None, dtype=np.complex128,
+                    sign=None):
     """Both channels of detect_conformal on dense n x n signs: the
-    difference OperatorMatrix(sign_of(b) - U sign_of(a) U*) through the
-    same probes, and the cometric channel one point at a time.  U sign(a) U*
-    is formed in ``dtype`` and rounded back to complex128."""
+    difference OperatorMatrix(sign(b) - U sign(a) U*) through the same
+    probes, and the cometric channel one point at a time.  ``sign`` is
+    ``sign_of`` unless given (``_eigh_sign`` for the eigh reference).
+    U sign(a) U* is formed in ``dtype`` and rounded back to complex128."""
     from confspec import (INCONCLUSIVE, NON_VANISHING, VANISHING,
                           ProbeConvergenceError, sign_of, standard_probe,
                           vanishing_symbol_test)
     from confspec.detect import _base_points, _detection_directions
+    sign = sign_of if sign is None else sign
     grid, rank = dirac_a.grid, dirac_a.rank
-    sign_b = sign_of(dirac_b, tol=config.tau)
-    a = sign_of(dirac_a, tol=config.tau).matrix
+    sign_b = sign(dirac_b, tol=config.tau)
+    a = sign(dirac_a, tol=config.tau).matrix
     if intertwiner is not None:
         um = intertwiner.matrix.astype(dtype)
         conjugated = (um @ a.astype(dtype) @ um.conj().T).astype(np.complex128)
@@ -356,6 +370,46 @@ def test_curved_torus_pair_is_bit_identical_to_the_dense_reference():
     assert np.array_equal(_rows(verdict.report), _rows(report))
     assert verdict.report.top_residuals == report.top_residuals
     assert np.max(np.abs(verdict.cometric_deviations - deviations)) <= 1e-13
+
+
+def _assert_rows_and_deviations_agree(verdict, report, deviations):
+    expected = _rows(report)
+    assert np.all(np.abs(_rows(verdict.report) - expected)
+                  <= 1e-13 * np.maximum(np.abs(expected), 1.0))
+    assert (verdict.cometric_deviations is None) == (deviations is None)
+    if deviations is not None:
+        assert np.all(np.abs(verdict.cometric_deviations - deviations)
+                      <= 1e-13 * np.maximum(deviations, 1.0))
+
+
+@pytest.mark.parametrize("config", [DetectConfig(), DetectConfig(probe_tolerance=0.5)])
+def test_curved_torus_pair_matches_the_eigh_reference(config):
+    # detection takes the graded sign; the reference takes dense eigh
+    dirac_a = _curved_torus_dirac(16, 1.0, 0.2)
+    dirac_b = _curved_torus_dirac(16, 1.0, -0.1)
+    verdict = detect_conformal(dirac_a, dirac_b, config=config)
+    report, deviations, symbol, cometric = _dense_channels(dirac_a, dirac_b, config,
+                                                           sign=_eigh_sign)
+    _assert_same_verdict(verdict, report, deviations, symbol, cometric)
+    _assert_rows_and_deviations_agree(verdict, report, deviations)
+    assert verdict.symbol_channel == CONFORMAL
+
+
+def test_curved_torus_phase_intertwiner_matches_the_eigh_reference():
+    from confspec import make_torus_metric
+    x, y = np.meshgrid(circle_theta(12), circle_theta(12), indexing="ij")
+    spin = SpinStructure(("antiperiodic", "periodic"))
+    dirac_a = build_dirac(make_torus_metric(1.0, 0.15 * np.cos(x + y), 1), spin)
+    dirac_b = build_dirac(make_torus_metric(1.0, -0.1 * np.sin(y), 1), spin)
+    unitary = multiplication_operator(np.exp(1j * 0.1 * np.sin(x - y)).reshape(-1),
+                                      dirac_a.grid, rank=2)
+    config = DetectConfig(probe_tolerance=0.5)
+    verdict = detect_conformal(dirac_a, dirac_b, unitary, config)
+    report, deviations, symbol, cometric = _dense_channels(dirac_a, dirac_b, config,
+                                                           unitary, sign=_eigh_sign)
+    _assert_same_verdict(verdict, report, deviations, symbol, cometric)
+    _assert_rows_and_deviations_agree(verdict, report, deviations)
+    assert verdict.decision == CONFORMAL
 
 
 def test_phase_intertwiner_is_bit_identical_to_the_dense_reference(

@@ -94,6 +94,25 @@ def test_measure_conjugation_torus(periodic_2d):
     assert gap <= 1e-12 * np.max(np.abs(sandwich.matrix)), f"conjugation gap {gap:.3e}"
 
 
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("parities", [("periodic", "periodic"),
+                                      ("antiperiodic", "antiperiodic"),
+                                      ("antiperiodic", "periodic")])
+def test_graded_torus_build_matches_the_dense_sandwich(n, parities):
+    # the reference is the rank-2 sandwich M(w) D_flat M(w), w = exp(-v/2)
+    x, y = np.meshgrid(circle_theta(n), circle_theta(n), indexing="ij")
+    v = 0.3 * np.sin(x) - 0.2 * np.cos(x - 2 * y)
+    metric = make_torus_metric(2.0, v, 2)
+    spin = SpinStructure(parities)
+    built = build_dirac(metric, spin).matrix
+    envelope = multiplication_operator(np.exp(-0.5 * v), metric.grid, rank=2).matrix
+    sandwich = envelope @ flat_dirac(metric, spin).matrix @ envelope
+    assert np.max(np.abs(built - sandwich)) <= 1e-13
+    quarters = built.reshape(n * n, 2, n * n, 2)
+    assert not np.any(quarters[:, 0, :, 0]) and not np.any(quarters[:, 1, :, 1])
+    assert np.array_equal(built, built.conj().T)
+
+
 # -------------------------------------------------------------- Clifford action
 
 def test_clifford_circle_is_minus_i(flat_circle):
