@@ -21,10 +21,10 @@ from .probes import (INCONCLUSIVE, NON_VANISHING, VANISHING, ProbeRow, ProbeSpec
                      plane_wave_conjugate, probe_symbol, probe_symbols,
                      standard_probe, vanishing_symbol_test)
 from .detect import (CONFORMAL, NOT_CONFORMAL, CometricEstimate, DetectConfig,
-                     DistanceConfig, DistanceEstimate, GrowthFitError,
-                     MultiplierExtract, ProbeConvergenceError, Verdict,
-                     connes_distance, detect_conformal, extract_multiplier,
-                     recover_conformal_factor, recover_normalized_cometric)
+                     DistanceEstimate, GrowthFitError, MultiplierExtract,
+                     ProbeConvergenceError, Verdict, connes_distance,
+                     detect_conformal, extract_multiplier, recover_conformal_factor,
+                     recover_normalized_cometric)
 from .io import (ConfigError, canonical_hash, load_metric, load_operator,
                  metric_from_dict, metric_to_dict, save_metric, save_operator)
 
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ANTIPERIODIC", "CONFORMAL", "CometricEstimate", "ConfigError",
     "ConformalFactor", "DEFAULT_RELATIVE_TAU",
-    "DetectConfig", "DistanceConfig", "DistanceEstimate", "FlatBackground",
+    "DetectConfig", "DistanceEstimate", "FlatBackground",
     "Grid", "GrowthFitError", "INCONCLUSIVE", "Metric", "MultiplierExtract",
     "NON_VANISHING", "NOT_CONFORMAL", "OperatorMatrix", "PAULI_X", "PAULI_Y",
     "PERIODIC", "ProbeConvergenceError", "ProbeRow", "ProbeSpec",

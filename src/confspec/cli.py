@@ -2,8 +2,8 @@
 
 One process runs one scenario.  Exit code 0 means the scenario ran and
 decided; 2 means it ran but the outcome is inconclusive (a verdict the
-thresholds cannot call, a non-converged probe, an unstable optimizer, or
-a failed demo check); 1 means the command line, the configuration or the
+thresholds cannot call, a non-converged probe, an uncertified distance,
+or a failed demo check); 1 means the command line, the configuration or the
 computation errored.  Scripts can therefore distinguish "not conformal" from
 "cannot tell" without parsing output.
 """
@@ -24,7 +24,7 @@ from .operators import OperatorMatrix, SpinStructure, build_dirac, multiplicatio
 from .calculus import kernel_rank, sign_of, spectral_projector
 from .probes import ProbeRow, probe_symbol, standard_probe
 from .detect import (CONFORMAL, INCONCLUSIVE, NOT_CONFORMAL, DetectConfig,
-                     DistanceConfig, _base_points, connes_distance,
+                     _base_points, _detection_directions, connes_distance,
                      detect_conformal, recover_conformal_factor)
 from .io import (ConfigError, canonical_hash, distance_to_dict,
                  estimate_to_dict, load_metric, metric_from_dict, save_metric,
@@ -176,7 +176,7 @@ def _run_probe(config: ScenarioConfig, out_dir: str):
     return estimate_to_dict(estimate), rows, code
 
 
-def _detect_config(config: ScenarioConfig) -> DetectConfig:
+def _detect_config(config: ScenarioConfig, metric) -> DetectConfig:
     data = config.data
     kwargs = {}
     for name in ("points", "rays", "band", "cometric_band", "theta_vanish",
@@ -187,9 +187,12 @@ def _detect_config(config: ScenarioConfig) -> DetectConfig:
     try:
         if "schedule" in data:
             kwargs["schedule"] = tuple(data["schedule"])
-        return DetectConfig(**kwargs)
+        thresholds = DetectConfig(**kwargs)
+        _detection_directions(metric.dim, thresholds.rays)
+        _base_points(metric.grid, thresholds.points)
     except (TypeError, ValueError) as exc:
         raise ConfigError("thresholds", str(exc)) from exc
+    return thresholds
 
 
 def _intertwiner_entry(config: ScenarioConfig, grid: Grid, rank: int):
@@ -211,7 +214,7 @@ def _run_detect(config: ScenarioConfig, out_dir: str):
     metric_b = _metric_entry(config, "metric_b")
     spin_a = _spin_entry(config, metric_a)
     spin_b = _spin_entry(config, metric_b)
-    thresholds = _detect_config(config)
+    thresholds = _detect_config(config, metric_a)
     dirac_a = build_dirac(metric_a, spin_a)
     dirac_b = build_dirac(metric_b, spin_b)
     if dirac_a.grid != dirac_b.grid:
@@ -227,13 +230,11 @@ def _run_distance(config: ScenarioConfig, out_dir: str):
     data = config.data
     if "x" not in data or "y" not in data:
         raise ConfigError("x", "distance scenarios need endpoints 'x' and 'y'")
-    opt = DistanceConfig(restarts=data.get("restarts", 8), seed=config.seed)
     try:
-        estimate = connes_distance(dirac, data["x"], data["y"],
-                                   band=data.get("band"), config=opt)
+        estimate = connes_distance(dirac, data["x"], data["y"], band=data.get("band"))
     except ValueError as exc:
         raise ConfigError("distance", str(exc)) from exc
-    code = EXIT_OK if estimate.stable else EXIT_INCONCLUSIVE
+    code = EXIT_OK if estimate.certified else EXIT_INCONCLUSIVE
     return distance_to_dict(estimate), None, code
 
 
@@ -311,9 +312,8 @@ def _demo_distance_circle(config: ScenarioConfig):
     spin = SpinStructure(("antiperiodic",))
     flat = build_dirac(metric_from_dict(record), spin)
     lifted = build_dirac(metric_from_dict({**record, "v_samples": [0.5] * n}), spin)
-    opt = DistanceConfig(seed=config.seed)
-    est_flat = connes_distance(flat, 0.0, np.pi, band=band, config=opt)
-    est_lifted = connes_distance(lifted, 0.0, np.pi, band=band, config=opt)
+    est_flat = connes_distance(flat, 0.0, np.pi, band=band)
+    est_lifted = connes_distance(lifted, 0.0, np.pi, band=band)
     ratio = est_lifted.value / est_flat.value
     checks = [
         _check("antipodal distance", 0.95 * np.pi <= est_flat.value <= 1.05 * np.pi,
@@ -466,7 +466,7 @@ def main(argv=None) -> int:
         print(f"decision: {record.outputs['decision']}")
     elif config.kind == "distance":
         print(f"distance: {record.outputs['value']:.6f} "
-              f"(stable: {record.outputs['stable']})")
+              f"(certified: {record.outputs['certified']})")
     elif config.kind == "probe":
         print(f"converged: {record.outputs['converged']}, "
               f"residuals: {record.outputs['residuals']}")

@@ -12,7 +12,7 @@ a verdict when they agree:
 
 The module also recovers conformal factors from the linear frequency
 growth of conjugated first-order operators, evaluates the spectral
-distance by constrained optimization over band-limited functions, and
+distance as a linear program over band-limited functions, and
 extracts multiplication operators from their sample-basis diagonal.
 """
 
@@ -185,19 +185,10 @@ def recover_conformal_factor(dirac: OperatorMatrix, x, direction=None,
     return float(-0.5 * np.log(alpha / flat_sq))
 
 
-@dataclass(frozen=True)
-class DistanceConfig:
-    """Optimizer knobs for the spectral distance."""
-
-    restarts: int = 8
-    seed: int = 0
-    power_schedule: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
-    max_iterations: int = 200
-    perturbation: float = 0.3
-
-    def __post_init__(self):
-        if self.restarts < 8:
-            raise ValueError("at least 8 optimizer restarts are required")
+# Simplex steps before the leaving row is chosen by Bland's rule, which
+# cannot cycle; and the step cap, past which the distance is uncertified.
+_BLAND_AFTER = 5_000
+_MAX_STEPS = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,13 +197,15 @@ class DistanceEstimate:
 
     ``coefficients`` holds the cosine block then the sine block for modes
     1..B of the maximizer, already scaled to unit commutator norm.
+    ``certified`` says that the linear program's multipliers prove the
+    value optimal over the band; ``duality_gap`` is |primal - dual| there.
     """
 
     value: float
     coefficients: np.ndarray
     constraint_slack: float
-    stable: bool
-    restart_values: tuple[float, ...]
+    certified: bool
+    duality_gap: float
     x: float
     y: float
 
@@ -227,39 +220,80 @@ class DistanceEstimate:
         self.coefficients.flags.writeable = False
 
 
-def _smoothed_max(weights_g, u, p):
-    """p-norm relaxation of max_j |(W u)_j| and its gradient."""
-    wu = weights_g @ u
-    z = np.abs(wu)
-    mx = z.max()
-    if mx == 0.0:
-        return 0.0, np.zeros_like(u)
-    ratio = z / mx
-    total = np.sum(ratio ** p)
-    value = mx * total ** (1.0 / p)
-    coef = (ratio ** (p - 1)) * np.sign(wu)
-    grad = (weights_g.T @ coef) * total ** (1.0 / p - 1.0)
-    return value, grad
+def _first_row_hit(wu, wd, excluded):
+    """Signed row of |W u|_inf <= 1 that u + t d reaches first: (row, sign, t).
+
+    Ties go to the lowest row, as Bland's rule needs.  Rows moving at under
+    1e-12 of the fastest rate are numerically parallel to the move and would
+    make the active system singular, so they never enter.
+    """
+    rate = np.abs(wd)
+    slack = np.where(wd > 0, 1.0 - wu, 1.0 + wu)
+    steps = np.full(wu.shape, np.inf)
+    movable = rate > 1e-12 * rate.max()
+    movable[excluded] = False
+    steps[movable] = np.maximum(slack[movable], 0.0) / rate[movable]
+    row = int(np.argmin(steps))
+    return row, (1.0 if wd[row] > 0 else -1.0), steps[row]
+
+
+def _chebyshev_lp(w, c):
+    """max c.u subject to |W u|_inf <= 1, by a simplex over signed active rows.
+
+    Walks from u = 0 along c, projected onto the null space of the rows hit
+    so far, to a vertex with one active row per unknown.  Each step then
+    solves the active system afresh, W_A u = s and W_A^T (s y) = c, and
+    releases the row with the most negative multiplier y for the first row
+    the move reaches.  No tableau is updated, so rounding does not build up.
+    Returns u, the duality gap |c.u - sum(y)| and whether y certifies u.
+    """
+    k = w.shape[1]
+    u = np.zeros(k)
+    rows, signs = [], []
+    for _ in range(k):
+        null = np.linalg.svd(w[rows])[2][len(rows):]
+        d = null.T @ (null @ c)
+        if np.linalg.norm(d) <= 1e-12 * np.linalg.norm(c):
+            d = null[0]  # c lies in the span of the rows hit: any face direction
+        row, sign, t = _first_row_hit(w @ u, w @ d, rows)
+        u = u + t * d
+        rows.append(row)
+        signs.append(sign)
+    rows, signs = np.array(rows), np.array(signs)
+    for step in range(_MAX_STEPS + 1):
+        active = w[rows]
+        u = np.linalg.solve(active, signs)
+        y = signs * np.linalg.solve(active.T, c)
+        negative = y < -1e-12 * y.max()
+        if not negative.any() or step == _MAX_STEPS:
+            break
+        if step < _BLAND_AFTER:
+            leave = int(np.argmin(y))
+        else:
+            leave = np.flatnonzero(negative)[np.argmin(rows[negative])]
+        d = -signs[leave] * np.linalg.solve(active, np.eye(k)[leave])
+        rows[leave], signs[leave], _ = _first_row_hit(w @ u, w @ d, np.delete(rows, leave))
+    value = float(c @ u)
+    gap = abs(value - float(y.sum()))
+    certified = (not negative.any() and float(np.max(np.abs(w @ u))) <= 1 + 1e-12
+                 and gap <= 1e-12 * value)
+    return u, gap, certified
 
 
 def connes_distance(dirac: OperatorMatrix, x: float, y: float,
-                    band: int | None = None,
-                    config: DistanceConfig | None = None) -> DistanceEstimate:
+                    band: int | None = None) -> DistanceEstimate:
     """Spectral distance sup{a(x) - a(y) : ||[D, M_a]|| <= 1} on a circle.
 
     The supremum is restricted to real trigonometric polynomials of degree
-    at most ``band``, which can only under-shoot the true distance.  For a
-    conformally flat circle the commutator norm of M_a is the largest
-    weighted derivative sample, so the feasible region is a convex body
-    and the search is reparametrized on the slice a(x) - a(y) = 1:
-    minimizing the norm there and inverting gives the distance.  The max
-    is annealed through increasing p-norms with projected descent, from a
-    least-squares start plus seeded random restarts, and the winner is
-    rescaled by its exactly evaluated commutator norm so the reported
-    maximizer is always feasible.
+    at most ``band`` (an integer in [1, N/4], default N/8), which can only
+    under-shoot the true distance.  For a conformally flat circle the
+    commutator norm of M_a is the largest weighted derivative sample, so
+    the restricted problem is the linear program max c.u subject to
+    |W u|_inf <= 1 over the 2B coefficients.  It is solved exactly by a
+    simplex over active sets (``_chebyshev_lp``), whose multipliers
+    certify the optimum.  The maximizer is rescaled by its exactly
+    evaluated commutator norm, so the reported maximizer is always feasible.
     """
-    if config is None:
-        config = DistanceConfig()
     metric = dirac.metric
     if metric is None:
         raise ValueError("the spectral distance needs a Dirac operator with its metric")
@@ -269,8 +303,9 @@ def connes_distance(dirac: OperatorMatrix, x: float, y: float,
     period = dirac.grid.periods[0]
     if band is None:
         band = max(1, n // 8)
-    if band > n // 4:
-        raise ValueError(f"band {band} exceeds N/4 = {n // 4}")
+    if (isinstance(band, bool) or not isinstance(band, (int, np.integer))
+            or not 1 <= band <= n // 4):
+        raise ValueError(f"band must be an integer in [1, N/4 = {n // 4}], got {band!r}")
     x = float(x) if np.isscalar(x) else float(_as_tuple(x)[0])
     y = float(y) if np.isscalar(y) else float(_as_tuple(y)[0])
     if abs((x - y) % period) < 1e-12 or abs((y - x) % period) < 1e-12:
@@ -285,58 +320,18 @@ def connes_distance(dirac: OperatorMatrix, x: float, y: float,
     weighted = weights[:, None] * basis_deriv
     slice_vec = np.concatenate([np.cos(ks * x) - np.cos(ks * y),
                                 np.sin(ks * x) - np.sin(ks * y)])
-    slice_sq = float(slice_vec @ slice_vec)
-    if slice_sq < 1e-20:
+    if float(slice_vec @ slice_vec) < 1e-20:
         raise ValueError("endpoints are indistinguishable to the band-limited basis")
 
-    gram = weighted.T @ weighted + 1e-12 * np.eye(2 * band)
-    start = np.linalg.solve(gram, slice_vec)
-    start /= slice_vec @ start
-
-    rng = np.random.default_rng(config.seed)
-    finals = []
-    best_value, best_u = -np.inf, start
-    for restart in range(config.restarts):
-        if restart == 0:
-            u = start.copy()
-        else:
-            u = start + config.perturbation * rng.standard_normal(2 * band) / np.sqrt(slice_sq)
-            u /= slice_vec @ u
-        for p in config.power_schedule:
-            step = 1.0
-            for _ in range(config.max_iterations):
-                value, grad = _smoothed_max(weighted, u, p)
-                grad = grad - (grad @ slice_vec) / slice_sq * slice_vec
-                if np.linalg.norm(grad) < 1e-13 * max(value, 1e-30):
-                    break
-                improved = False
-                while step > 1e-14:
-                    candidate = u - step * grad
-                    cand_value, _ = _smoothed_max(weighted, candidate, p)
-                    if cand_value < value:
-                        u = candidate
-                        improved = True
-                        step *= 1.5
-                        break
-                    step *= 0.5
-                if not improved:
-                    break
-        final = 1.0 / float(np.max(np.abs(weighted @ u)))
-        finals.append(final)
-        if final > best_value:
-            best_value, best_u = final, u
-
-    maximizer = best_u / float(np.max(np.abs(weighted @ best_u)))
+    u, gap, certified = _chebyshev_lp(weighted, slice_vec)
     samples = np.concatenate([np.cos(np.outer(theta, ks)),
-                              np.sin(np.outer(theta, ks))], axis=1) @ maximizer
+                              np.sin(np.outer(theta, ks))], axis=1) @ u
     true_norm = commutator_norm(dirac, samples)
-    maximizer = maximizer / true_norm
-    gap = float(slice_vec @ maximizer)
+    maximizer = u / true_norm
     slack = commutator_norm(dirac, samples / true_norm)
-    spread = (max(finals) - min(finals)) / max(max(finals), 1e-30)
-    return DistanceEstimate(value=abs(gap), coefficients=maximizer,
-                            constraint_slack=slack, stable=spread <= 0.05,
-                            restart_values=tuple(finals), x=x, y=y)
+    return DistanceEstimate(value=float(slice_vec @ maximizer), coefficients=maximizer,
+                            constraint_slack=slack, certified=certified,
+                            duality_gap=gap, x=x, y=y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,6 +425,8 @@ class DetectConfig:
     tau: float | None = None
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) for v in (self.points, self.rays)):
+            raise ValueError("points and rays must be integers")
         if self.points < 8:
             raise ValueError("detection needs at least 8 base points")
         if not self.theta_vanish < self.theta_present:

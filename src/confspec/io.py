@@ -198,8 +198,8 @@ def verdict_to_dict(verdict) -> dict:
 def distance_to_dict(estimate) -> dict:
     return {"value": estimate.value, "x": estimate.x, "y": estimate.y,
             "constraint_slack": estimate.constraint_slack,
-            "stable": estimate.stable,
-            "restart_values": list(estimate.restart_values),
+            "certified": estimate.certified,
+            "duality_gap": estimate.duality_gap,
             "coefficients": estimate.coefficients.tolist()}
 
 

@@ -151,7 +151,7 @@ def test_criterion_6_connes_distance():
     ratio = scaled.value / antipodal.value
     in_window = 0.95 * np.pi <= antipodal.value <= 1.05 * np.pi
     ok_ratio = abs(ratio - np.exp(0.5)) <= 0.05 * np.exp(0.5)
-    ok = in_window and ok_ratio and antipodal.stable and elapsed < 30.0
+    ok = in_window and ok_ratio and antipodal.certified and elapsed < 30.0
     assert _line(6, ok, f"d(0,pi) = {antipodal.value / np.pi:.5f}*pi "
                         f"(window [0.95, 1.05]*pi), scaling ratio {ratio:.5f} "
                         f"vs e^0.5 = {np.exp(0.5):.5f}, {elapsed:.1f}s (< 30s)")

@@ -7,7 +7,7 @@ import confspec
 
 PUBLIC_NAMES = [
     "ANTIPERIODIC", "CONFORMAL", "CometricEstimate", "ConfigError",
-    "ConformalFactor", "DEFAULT_RELATIVE_TAU", "DetectConfig", "DistanceConfig",
+    "ConformalFactor", "DEFAULT_RELATIVE_TAU", "DetectConfig",
     "DistanceEstimate", "FlatBackground", "Grid", "GrowthFitError",
     "INCONCLUSIVE", "Metric", "MultiplierExtract", "NON_VANISHING",
     "NOT_CONFORMAL", "OperatorMatrix", "PAULI_X", "PAULI_Y", "PERIODIC",

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import confspec
 from confspec import (
     ConfigError,
     load_metric,
@@ -151,8 +154,16 @@ def test_build_scenario_writes_artifacts(tmp_path):
     assert operator.hermitian
 
 
+def _torus_pair(n):
+    record = metric_to_dict(make_torus_metric(1.0, np.zeros((n, n)), 0))
+    return {"metric_a": record, "metric_b": record}
+
+
 @pytest.mark.parametrize("bad", [{"tau": -1}, {"tau": float("nan")}, {"tau": "small"},
-                                 {"schedule": 3}])
+                                 {"schedule": 3}, {"points": 8.5},
+                                 {"rays": 4.5, **_torus_pair(8)},
+                                 {"rays": 2, **_torus_pair(8)},
+                                 {"points": 99, **_torus_pair(16)}])
 def test_bad_detect_thresholds_fail_before_any_operator_is_built(bad, tmp_path, capsys,
                                                                  monkeypatch):
     import confspec.cli
@@ -220,6 +231,58 @@ def test_config_with_a_threads_key_still_runs(tmp_path):
         "threads": 2,
     })
     assert main(["--config", config, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def _distance_config(tmp_path, **extra):
+    return _write_config(tmp_path, {"scenario": "distance",
+                                    "metric": _circle_record(amplitude=0.3),
+                                    "x": 0.3, "y": 2.0, **extra})
+
+
+def test_distance_scenario_reports_a_certified_value(tmp_path, capsys):
+    def value(name, *flags, **extra):
+        out = tmp_path / name
+        assert main(["--config", _distance_config(tmp_path, **extra),
+                     "--out", str(out), *flags]) == EXIT_OK
+        return json.loads((out / "result.json").read_text())["outputs"]
+
+    outputs = value("plain")
+    assert outputs["certified"] is True
+    assert 0.0 <= outputs["duality_gap"] <= 1e-12 * outputs["value"]
+    assert "stable" not in outputs and "restart_values" not in outputs
+    assert "(certified: True)" in capsys.readouterr().out
+    # the former "restarts" setting is an unknown key now, and the LP has no seed
+    assert value("restarts", restarts=2)["value"] == outputs["value"]
+    assert value("seeded", "--seed", "7")["value"] == outputs["value"]
+
+
+@pytest.mark.parametrize("band", [0, -3, 4.5, 9])
+def test_bad_distance_band_is_named(band, tmp_path, capsys):
+    # N = 32, so the largest band is N/4 = 8
+    config = _distance_config(tmp_path, band=band)
+    assert main(["--config", config, "--out", str(tmp_path / "out")]) == EXIT_ERROR
+    assert "config error - distance: band must be" in capsys.readouterr().err
+
+
+def test_distance_and_detect_import_no_scipy(tmp_path):
+    detect = _write_config(tmp_path, {"scenario": "detect",
+                                      "metric_a": _circle_record(amplitude=0.0, band=0),
+                                      "metric_b": _circle_record(amplitude=0.25)},
+                           name="detect.json")
+    script = ("import sys\n"
+              "from confspec.cli import main\n"
+              "codes = [main(['--config', path, '--out', out])\n"
+              "         for path, out in zip(sys.argv[1::2], sys.argv[2::2])]\n"
+              "print(codes, 'scipy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(confspec.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", script, _distance_config(tmp_path), str(tmp_path / "d"),
+         detect, str(tmp_path / "c")], env=env, capture_output=True, text=True,
+        timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0] False"
 
 
 def test_recover_scenario(tmp_path):

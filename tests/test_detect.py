@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import confspec.detect
 from confspec import (
     CONFORMAL,
     DetectConfig,
-    DistanceConfig,
     Grid,
     NOT_CONFORMAL,
     OperatorMatrix,
@@ -154,7 +155,7 @@ def test_recover_requires_provenance(flat_circle):
 
 def test_distance_quarter_circle(dirac_flat_s1):
     estimate = connes_distance(dirac_flat_s1, 0.0, np.pi / 2, band=8)
-    assert estimate.stable
+    assert estimate.certified
     assert estimate.value == pytest.approx(np.pi / 2, rel=0.05)
     assert estimate.constraint_slack <= 1.0 + 1e-6
 
@@ -187,9 +188,62 @@ def test_distance_rejects_equal_endpoints(dirac_flat_s1):
         connes_distance(dirac_flat_s1, 1.0, 1.0)
 
 
-def test_distance_config_validation():
-    with pytest.raises(ValueError):
-        DistanceConfig(restarts=2)
+def _highs_distance(metric, x, y, band):
+    """The band-limited distance LP on a circle of length 2 pi, solved by HiGHS."""
+    theta = metric.grid.axis_points(0)
+    ks = np.arange(1, band + 1)
+    derivative = np.hstack([-ks * np.sin(np.outer(theta, ks)),
+                            ks * np.cos(np.outer(theta, ks))])
+    w = np.exp(-metric.factor.samples)[:, None] * derivative
+    c = np.concatenate([np.cos(ks * x) - np.cos(ks * y), np.sin(ks * x) - np.sin(ks * y)])
+    result = linprog(-c, A_ub=np.vstack([w, -w]), b_ub=np.ones(2 * len(theta)),
+                     bounds=(None, None), method="highs")
+    assert result.status == 0
+    return -result.fun
+
+
+def _profile_circle(n, profile):
+    theta = circle_theta(n)
+    v = {"flat": np.zeros(n), "constant": np.full(n, 0.5),
+         "curved": 0.3 + 0.2 * np.cos(theta) + 0.1 * np.sin(2 * theta)}[profile]
+    return make_circle_metric(TWO_PI, v, 2 if profile == "curved" else 0)
+
+
+# n = 256, band 32 at (0.3, 2.0) is the hardest case: about 1,430 steps,
+# through active bases with condition numbers up to about 1e13.
+@pytest.mark.parametrize("endpoints", [(0.0, np.pi), (0.3, 2.0)])
+@pytest.mark.parametrize("divisor", [16, 8, 4])
+@pytest.mark.parametrize("profile", ["flat", "constant", "curved"])
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_distance_matches_the_highs_oracle(n, profile, divisor, endpoints, antiperiodic):
+    metric = _profile_circle(n, profile)
+    estimate = connes_distance(build_dirac(metric, antiperiodic), *endpoints,
+                               band=n // divisor)
+    oracle = _highs_distance(metric, *endpoints, n // divisor)
+    assert estimate.value == pytest.approx(oracle, rel=1e-7)
+    assert estimate.certified
+    assert estimate.duality_gap <= 1e-12 * estimate.value
+    assert estimate.constraint_slack <= 1 + 1e-9
+
+
+def test_distance_is_uncertified_at_the_step_cap(antiperiodic, monkeypatch):
+    dirac = build_dirac(_profile_circle(128, "flat"), antiperiodic)
+    optimum = connes_distance(dirac, 0.0, np.pi, band=16)
+    monkeypatch.setattr(confspec.detect, "_MAX_STEPS", 1)
+    capped = connes_distance(dirac, 0.0, np.pi, band=16)
+    assert not capped.certified
+    assert capped.value < optimum.value
+    assert capped.constraint_slack <= 1 + 1e-9
+
+
+@pytest.mark.parametrize("endpoints", [(0.0, np.pi), (0.3, 2.0)])
+def test_blands_rule_reaches_the_same_optimum(endpoints, antiperiodic, monkeypatch):
+    dirac = build_dirac(_profile_circle(64, "curved"), antiperiodic)
+    dantzig = connes_distance(dirac, *endpoints, band=8)
+    monkeypatch.setattr(confspec.detect, "_BLAND_AFTER", 0)
+    bland = connes_distance(dirac, *endpoints, band=8)
+    assert bland.certified
+    assert bland.value == pytest.approx(dantzig.value, rel=1e-12)
 
 
 # ------------------------------------------------------------------ multipliers
